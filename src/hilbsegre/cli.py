@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import random
@@ -34,7 +35,6 @@ from .lehn import (
 )
 from .series import TruncatedPowerSeries, format_rational
 from .universal import (
-    SegreTable,
     SurfaceInvariants,
     UniversalSeriesSet,
     blowup_targets,
@@ -81,29 +81,12 @@ class OutputRecord:
     value: Fraction
     route: str
 
-    def to_row(self) -> tuple[str, ...]:
-        inv = self.invariants
-        return (
-            str(inv.d),
-            str(inv.pi),
-            str(inv.kappa),
-            str(inv.e),
-            str(self.k),
-            self.route,
-            format_rational(self.value),
-        )
-
     def to_dict(self) -> dict:
-        inv = self.invariants
-        return {
-            "d": inv.d,
-            "pi": inv.pi,
-            "kappa": inv.kappa,
-            "e": inv.e,
-            "k": self.k,
-            "route": self.route,
-            "value": format_rational(self.value),
-        }
+        values = (*self.invariants.as_tuple(), self.k, self.route, format_rational(self.value))
+        return dict(zip(CSV_HEADER, values))
+
+    def to_row(self) -> tuple[str, ...]:
+        return tuple(str(value) for value in self.to_dict().values())
 
 
 def render_records(records: list[OutputRecord], fmt: str, values_only: bool = False) -> str:
@@ -273,23 +256,16 @@ def _check_b_vs_bprime(max_k: int) -> tuple[bool, str]:
 
 
 def _check_engine_vs_lehn_grid(U: UniversalSeriesSet, order: int) -> tuple[bool, str]:
-    table = SegreTable()
-    for d in range(-3, 4):
-        for pi in range(-3, 4):
-            for kappa in range(-3, 4):
-                for e in (0, 12, 24):
-                    inv = SurfaceInvariants(d, pi, kappa, e)
-                    engine = segre_series(inv, order, U)
-                    oracle = lehn_series(inv, order)
-                    for k in range(order + 1):
-                        table.record(inv, k, engine[k], "engine")
-                        table.record(inv, k, oracle[k], "lehn")
-    mismatches = table.discrepancies()
-    if mismatches:
-        inv, k, values = mismatches[0]
-        engine_v = format_rational(values["engine"])
-        lehn_v = format_rational(values["lehn"])
-        return False, f"{_fmt_inv(inv)}, k={k}: engine {engine_v} vs lehn {lehn_v}"
+    grid = itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (0, 12, 24))
+    for inv in itertools.starmap(SurfaceInvariants, grid):
+        engine = segre_series(inv, order, U).coefficients
+        oracle = lehn_series(inv, order).coefficients
+        if engine != oracle:
+            k = next(k for k, (x, y) in enumerate(zip(engine, oracle)) if x != y)
+            return False, (
+                f"{_fmt_inv(inv)}, k={k}: engine {format_rational(engine[k])} "
+                f"vs lehn {format_rational(oracle[k])}"
+            )
     return True, ""
 
 

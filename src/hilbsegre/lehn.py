@@ -18,9 +18,12 @@ and w tied to z by the substitution
 
 The substitution has a unit linear coefficient, so expanding f in z to
 order N needs exactly the w-expansion to order N and one compositional
-reversion.  This module is a construction of the Segre numbers that is
-independent of the probe-and-solve engine in `universal`; the two are
-compared coefficient by coefficient in the verification suite.
+reversion w(z).  Every tuple is then log-linear, f = exp(a l1 + b l2 -
+c l3), where l1, l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6w + 6w^2 at
+w = w(z), cached once per order: no powers and no composition per tuple.
+This module is a construction of the Segre numbers that is independent
+of the probe-and-solve engine in `universal`; the two are compared
+coefficient by coefficient in the verification suite.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import ExactRational, TruncatedPowerSeries
+from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
 from .universal import (
     SurfaceInvariants,
     UniversalSeriesSet,
@@ -85,9 +88,11 @@ def change_of_variable(
 
 
 @lru_cache(maxsize=None)
-def _bases(N: int) -> tuple[TruncatedPowerSeries, ...]:
-    w = TruncatedPowerSeries.identity(N)
-    return (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
+def _log_factors(N: int) -> tuple[tuple[Fraction, ...], ...]:
+    """l1, l2, l3: the logs of the three closed-form factors at w = w(z)."""
+    _, w = change_of_variable(N)
+    factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
+    return tuple(f.log().coefficients for f in factors)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
@@ -97,10 +102,7 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     if N == 0:
         return TruncatedPowerSeries.one(0)
     exps = lehn_exponents(inv)
-    one_w, one_2w, quadratic = _bases(N)
-    f_in_w = one_w.pow(exps.a) * one_2w.pow(exps.b) * quadratic.pow(-exps.c)
-    _, wz = change_of_variable(N)
-    return f_in_w.compose(wz)
+    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _log_factors(N)), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:

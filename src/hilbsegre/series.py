@@ -237,10 +237,10 @@ class TruncatedPowerSeries:
         """
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
-        f = self._coefficients
+        jf = [j * c for j, c in enumerate(self._coefficients)]
         out = [Fraction(1)]
         for m in range(1, self.order + 1):
-            out.append(sum(j * f[j] * out[m - j] for j in range(1, m + 1)) / m)
+            out.append(sum(jf[j] * out[m - j] for j in range(1, m + 1)) / m)
         return TruncatedPowerSeries(out)
 
     def log(self) -> "TruncatedPowerSeries":
@@ -325,3 +325,15 @@ class TruncatedPowerSeries:
             h = self.compose(TruncatedPowerSeries(g[: m + 1]))
             g[m] = -h[m] * inv1
         return TruncatedPowerSeries(g)
+
+
+def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
+    """exp(sum of weight * log) to `order`, for (weight, log coefficients) pairs.
+
+    The logs are combined coefficientwise, so a product of rational
+    powers f1^w1 * f2^w2 * ... costs one exp and no series products.
+    """
+    terms = [(weight, log) for weight, log in terms if weight]
+    return TruncatedPowerSeries(
+        [sum((w * log[n] for w, log in terms), Fraction(0)) for n in range(order + 1)]
+    ).exp()

@@ -16,27 +16,29 @@ and the 24th root of the genus-one K3 series (d = 0, e = 24 case).
 
 C and D are determined order by order from the two vanishing families
 on a blown-up K3, the tuples (7(k-1), k-1, -1, 25) and
-(7(k-1)+1, k, -1, 25) where the k-th Segre number is zero.  The z^k
-coefficient of the full product is affine-linear in the unknown pair
-(C_k, D_k), with coefficients pi and kappa: the z^k coefficient of
-log C is C_k plus a polynomial in the lower coefficients, and exp adds
-only products of lower-order terms.  Probing both target tuples with
-provisional zeros therefore yields two affine equations
+(7(k-1)+1, k, -1, 25) where the k-th Segre number is zero.
 
-    0 = (k-1) C_k - D_k + nu,      0 = k C_k - D_k + nu',
+Evaluation is log-linear: s = exp(d log A + e log B + pi log C +
+kappa log D), one linear combination of four cached logs and one exp.
+The probe-and-solve runs in the same coordinates: the z^k coefficient
+of exp(L) is L_k plus a polynomial in lower coefficients, so probing
+both targets with log C_k = log D_k = 0 yields two affine equations
 
-whose linear part has determinant 1, so C_k = nu - nu' and
-D_k = (k-1) C_k + nu exactly.
+    0 = (k-1) log C_k - log D_k + nu,      0 = k log C_k - log D_k + nu',
+
+whose linear part has determinant 1, so log C_k = nu - nu' and
+log D_k = (k-1) log C_k + nu exactly.  C and D are exponentiated once
+at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .k3 import determine_b_s1
-from .series import ExactRational, TruncatedPowerSeries
+from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
 
 __all__ = [
     "BlowupTarget",
@@ -84,7 +86,10 @@ class SurfaceInvariants:
 
 @dataclass(frozen=True)
 class UniversalSeriesSet:
-    """The determined unit series A, B, C, D at a common order."""
+    """The determined unit series A, B, C, D at a common order.
+
+    Their logs are computed on first use and cached per instance.
+    """
 
     A: TruncatedPowerSeries
     B: TruncatedPowerSeries
@@ -108,6 +113,11 @@ class UniversalSeriesSet:
     @property
     def order(self) -> int:
         return self.A.order
+
+    @cached_property
+    def _logs(self) -> tuple[tuple[Fraction, ...], ...]:
+        """log A, log C, log D, log B: the order of `SurfaceInvariants.as_tuple`."""
+        return tuple(s.log().coefficients for s in (self.A, self.C, self.D, self.B))
 
 
 @dataclass(frozen=True)
@@ -149,25 +159,9 @@ def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
     if N < 0:
         raise ValueError("order must be non-negative")
     seqs = determine_b_s1(N)
-    abelian = TruncatedPowerSeries(seqs.b)
-    genus_one = TruncatedPowerSeries(seqs.s1)
-    return abelian.pow(Fraction(1, 2)), genus_one.pow(Fraction(1, 24))
-
-
-def _multiplicative_series(
-    inv: SurfaceInvariants,
-    A: TruncatedPowerSeries,
-    B: TruncatedPowerSeries,
-    C: TruncatedPowerSeries,
-    D: TruncatedPowerSeries,
-    N: int,
-) -> TruncatedPowerSeries:
-    return (
-        A.truncate(N).pow(inv.d)
-        * B.truncate(N).pow(inv.e)
-        * C.truncate(N).pow(inv.pi)
-        * D.truncate(N).pow(inv.kappa)
-    )
+    log_abelian = TruncatedPowerSeries(seqs.b).log()
+    log_genus_one = TruncatedPowerSeries(seqs.s1).log()
+    return (log_abelian * Fraction(1, 2)).exp(), (log_genus_one * Fraction(1, 24)).exp()
 
 
 def determine_CD(
@@ -176,17 +170,19 @@ def determine_CD(
     """C and D to order N by probe-and-solve against the blow-up targets."""
     if A.order < N or B.order < N:
         raise ValueError("A and B must be determined to order >= N")
-    c = [Fraction(1)] + [Fraction(0)] * N
-    d = [Fraction(1)] + [Fraction(0)] * N
+    log_a = A.truncate(N).log().coefficients
+    log_b = B.truncate(N).log().coefficients
+    log_c = [Fraction(0)] * (N + 1)
+    log_d = [Fraction(0)] * (N + 1)
+    logs = (log_a, log_c, log_d, log_b)  # weights come in as_tuple order
     for k in range(2, N + 1):
-        first, second = blowup_targets(k)
-        c_prov = TruncatedPowerSeries(c[: k + 1])
-        d_prov = TruncatedPowerSeries(d[: k + 1])
-        nu = _multiplicative_series(first.invariants, A, B, c_prov, d_prov, k)[k]
-        nu_prime = _multiplicative_series(second.invariants, A, B, c_prov, d_prov, k)[k]
-        c[k] = nu - nu_prime
-        d[k] = (k - 1) * c[k] + nu
-    return TruncatedPowerSeries(c), TruncatedPowerSeries(d)
+        nu, nu_prime = (
+            _exp_of_combination(zip(t.invariants.as_tuple(), logs), k)[k]
+            for t in blowup_targets(k)
+        )
+        log_c[k] = nu - nu_prime
+        log_d[k] = (k - 1) * log_c[k] + nu
+    return TruncatedPowerSeries(log_c).exp(), TruncatedPowerSeries(log_d).exp()
 
 
 @lru_cache(maxsize=None)
@@ -200,10 +196,19 @@ def universal_series_set(N: int) -> UniversalSeriesSet:
 def segre_series(
     inv: SurfaceInvariants, N: int, U: UniversalSeriesSet
 ) -> TruncatedPowerSeries:
-    """The generating series A^d B^e C^pi D^kappa truncated at order N."""
+    """The generating series A^d B^e C^pi D^kappa truncated at order N.
+
+    Evaluated as exp(d log A + e log B + pi log C + kappa log D), which
+    is the product of the powers exactly:
+
+    >>> U = universal_series_set(4)
+    >>> inv = SurfaceInvariants(d=-3, pi=2, kappa=-1, e=5)
+    >>> segre_series(inv, 4, U) == U.A**-3 * U.B**5 * U.C**2 * U.D**-1
+    True
+    """
     if N > U.order:
         raise ValueError("insufficient truncation order")
-    return _multiplicative_series(inv, U.A, U.B, U.C, U.D, N)
+    return _exp_of_combination(zip(inv.as_tuple(), U._logs), N)
 
 
 def segre_number(

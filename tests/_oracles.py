@@ -2,7 +2,8 @@
 
 Everything here recomputes values by a route different from the one
 under test: the Lagrange formula instead of order-by-order reversion,
-finite differences instead of binomial algebra.
+the Taylor sum instead of the exp recursion, finite differences
+instead of binomial algebra.
 """
 
 from __future__ import annotations
@@ -27,6 +28,21 @@ def lagrange_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
         powered = unit.pow(-m)
         coefficients[m] = powered[m - 1] / (leading**m) / m
     return TruncatedPowerSeries(coefficients)
+
+
+def exp_by_taylor_sum(g: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """exp(g) as sum_{n <= N} g^n / n!, for g with zero constant term.
+
+    g^n is built by plain multiplication, so the coefficient recursion
+    n E_n = sum_j j g_j E_{n-j} used by `TruncatedPowerSeries.exp` is
+    never consulted; g^n vanishes below z^n, so the sum is exact at N.
+    """
+    total = TruncatedPowerSeries.one(g.order)
+    term = TruncatedPowerSeries.one(g.order)
+    for n in range(1, g.order + 1):
+        term = term * g / n
+        total = total + term
+    return total
 
 
 def finite_differences(values: list[Fraction], times: int) -> list[Fraction]:

@@ -18,7 +18,7 @@ from hilbsegre import (
     parse_rational,
 )
 
-from tests._oracles import lagrange_revert
+from tests._oracles import exp_by_taylor_sum, lagrange_revert
 
 
 def series(*coefficients, order=None):
@@ -219,6 +219,17 @@ def test_revert_matches_lagrange_oracle():
         assert f.revert().coefficients == lagrange_revert(f).coefficients
 
 
+def test_taylor_oracle_gives_exp_of_z():
+    oracle = exp_by_taylor_sum(Z6)
+    assert oracle.coefficients == tuple(F(1, math.factorial(n)) for n in range(7))
+
+
+def test_exp_matches_taylor_oracle():
+    for coeffs in ([0, 1, 9, 68, 466], [0, F(-5, 2), F(1, 3), 0, 7], [0, 0, 1, -1, 2, 3]):
+        g = TPS(coeffs)
+        assert g.exp().coefficients == exp_by_taylor_sum(g).coefficients
+
+
 def test_revert_preconditions():
     with pytest.raises(ValueError, match="series not invertible under composition"):
         ONE6.revert()
@@ -249,6 +260,11 @@ def test_prop_exp_log_roundtrip(f):
 @given(zero_const_series)
 def test_prop_log_exp_roundtrip(g):
     assert g.exp().log().coefficients == g.coefficients
+
+
+@given(zero_const_series)
+def test_prop_exp_matches_taylor_oracle(g):
+    assert g.exp().coefficients == exp_by_taylor_sum(g).coefficients
 
 
 @settings(max_examples=60)
