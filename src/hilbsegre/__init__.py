@@ -15,6 +15,7 @@ from .k3 import (
     determine_b_s1,
     generalized_binomial,
     recursion_segre,
+    recursion_table,
 )
 from .lehn import (
     LehnExponents,
@@ -34,7 +35,6 @@ from .series import (
 )
 from .universal import (
     BlowupTarget,
-    SegreTable,
     SurfaceInvariants,
     UniversalSeriesSet,
     blowup_targets,
@@ -52,7 +52,6 @@ __all__ = [
     "BlowupTarget",
     "ExactRational",
     "LehnExponents",
-    "SegreTable",
     "SurfaceInvariants",
     "TruncatedPowerSeries",
     "UniversalSeriesSet",
@@ -72,6 +71,7 @@ __all__ = [
     "lehn_series",
     "parse_rational",
     "recursion_segre",
+    "recursion_table",
     "segre_number",
     "segre_series",
     "universal_series_set",

@@ -26,7 +26,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .k3 import closed_segre, determine_b_prime, determine_b_s1, recursion_segre
+from .k3 import closed_segre, determine_b_prime, determine_b_s1, recursion_table
 from .lehn import (
     eval_s5_polynomial,
     lehn_series,
@@ -226,10 +226,10 @@ def _check_kernel_roundtrips(max_order: int) -> tuple[bool, str]:
 
 
 def _check_closed_vs_recursion(max_k: int) -> tuple[bool, str]:
-    seqs = determine_b_s1(max_k)
+    rows = recursion_table(max_k, 30, determine_b_s1(max_k))
     for k in range(max_k + 1):
         for g in range(1, 31):
-            lhs = recursion_segre(k, g, seqs)
+            lhs = rows[k][g - 1]
             rhs = closed_segre(k, g)
             if lhs != rhs:
                 return False, f"k={k}, g={g}: recursion {lhs} vs closed {rhs}"

@@ -40,6 +40,7 @@ __all__ = [
     "determine_b_s1",
     "generalized_binomial",
     "recursion_segre",
+    "recursion_table",
 ]
 
 
@@ -93,21 +94,33 @@ class BSequences:
                     raise ValueError(f"{name}[{i}] must be {expected}, got {seq[i]}")
 
 
-def _segre_table(
-    b: tuple[ExactRational, ...] | list,
-    s1: tuple[ExactRational, ...] | list,
-    lmax: int,
-    gmax: int,
+def _grow_rows(
+    rows: list[list[Fraction]], b: tuple[ExactRational, ...] | list, gmax: int
 ) -> list[list[Fraction]]:
-    """Rows s(l, g) for 0 <= l <= lmax, 1 <= g <= gmax via the recursion.
+    """Extend every row of a recursion table to genus gmax, in place.
 
-    Row l at genus g sits at rows[l][g - 1]; needs b and s1 up to lmax.
+    Row l at genus g reads rows 0 .. l at genus g - 1, so the rows are
+    grown in ascending order.
     """
-    rows = [[Fraction(s1[l])] for l in range(lmax + 1)]
-    for g in range(2, gmax + 1):
-        for l in range(lmax + 1):
-            rows[l].append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
+    for l, row in enumerate(rows):
+        for g in range(len(row) + 1, gmax + 1):
+            row.append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
     return rows
+
+
+def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
+    """Rows s(l, g) for 0 <= l <= K, 1 <= g <= G by iterating the convolution.
+
+    Row l at genus g sits at rows[l][g - 1]; one table answers every
+    (k, g) inside it, at O(K^2 G) for the whole table.
+    """
+    if G < 1:
+        raise ValueError("recursion route is defined for g >= 1 only")
+    if K < 0:
+        raise ValueError("k must be non-negative")
+    if len(seqs.b) <= K:
+        raise ValueError("b-sequence too short")
+    return _grow_rows([[Fraction(seqs.s1[l])] for l in range(K + 1)], seqs.b, G)
 
 
 def determine_b_s1(K: int) -> BSequences:
@@ -117,13 +130,20 @@ def determine_b_s1(K: int) -> BSequences:
     recursion from genus 1 upward expresses s(k, 2k) and s(k, 2k - 1)
     as affine functions of the two unknowns (s(k, 1), b_k) whose linear
     part is unimodular, and the two vanishings make the system square.
+
+    One recursion table serves the whole induction.  Step k appends row
+    k - 1, which starts from the just-determined s(k - 1, 1), and grows
+    every row by the genera 2k - 2 and 2k - 1, so the determination
+    costs O(K^3).
     """
     if K < 0:
         raise ValueError("sequence length must be non-negative")
     b = [Fraction(1), Fraction(2)][: K + 1]
     s1 = [Fraction(1), Fraction(0)][: K + 1]
+    rows = [[s1[0]]]
     for k in range(2, K + 1):
-        rows = _segre_table(b, s1, k - 1, 2 * k - 1)
+        rows.append([s1[k - 1]])
+        _grow_rows(rows, b, 2 * k - 1)
 
         def m(g: int) -> Fraction:
             return sum(b[l] * rows[k - l][g - 2] for l in range(1, k))
@@ -136,14 +156,8 @@ def determine_b_s1(K: int) -> BSequences:
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:
-    """s(k, g) for g >= 1 by iterating the convolution up from genus one."""
-    if g < 1:
-        raise ValueError("recursion route is defined for g >= 1 only")
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if len(seqs.b) <= k:
-        raise ValueError("b-sequence too short")
-    return _segre_table(seqs.b, seqs.s1, k, g)[k][g - 1]
+    """s(k, g) for g >= 1, read from the recursion table up to (k, g)."""
+    return recursion_table(k, g, seqs)[k][g - 1]
 
 
 def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

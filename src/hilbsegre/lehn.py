@@ -20,7 +20,9 @@ The substitution has a unit linear coefficient, so expanding f in z to
 order N needs exactly the w-expansion to order N and one compositional
 reversion w(z).  Every tuple is then log-linear, f = exp(a l1 + b l2 -
 c l3), where l1, l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6w + 6w^2 at
-w = w(z), cached once per order: no powers and no composition per tuple.
+w = w(z): no powers and no composition per tuple.  The substitution
+and the logs are built once, at the largest order requested so far, and
+a lower order reads their prefix.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
 from .universal import (
@@ -73,21 +75,45 @@ def lehn_exponents(inv: SurfaceInvariants) -> LehnExponents:
     )
 
 
-@lru_cache(maxsize=None)
+def _grown_by_prefix(build):
+    """Cache a build of coefficient tuples at the largest order requested so far.
+
+    The cached quantities are prefix-stable: their coefficients up to
+    z^N do not change when N grows, so a request at a smaller order
+    reads the prefixes of the largest build.
+    """
+    largest = [(-1, ())]  # one (order, parts) pair, replaced whole
+
+    @wraps(build)
+    def cached(N: int) -> tuple[tuple[Fraction, ...], ...]:
+        order, parts = largest[0]
+        if N > order:
+            order, parts = largest[0] = N, build(N)
+        return tuple(part[: N + 1] for part in parts)
+
+    return cached
+
+
 def change_of_variable(
     N: int,
 ) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
     """The substitution z(w) expanded to order N, and its reversion w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
+    zw, wz = _substitution(N)
+    return TruncatedPowerSeries(zw), TruncatedPowerSeries(wz)
+
+
+@_grown_by_prefix
+def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     w = TruncatedPowerSeries.identity(N)
     numerator = w * (1 - w) * (1 - 2 * w).pow(4)
     denominator = (1 - 6 * w + 6 * w * w).pow(3)
     zw = numerator / denominator
-    return zw, zw.revert()
+    return zw.coefficients, zw.revert().coefficients
 
 
-@lru_cache(maxsize=None)
+@_grown_by_prefix
 def _log_factors(N: int) -> tuple[tuple[Fraction, ...], ...]:
     """l1, l2, l3: the logs of the three closed-form factors at w = w(z)."""
     _, w = change_of_variable(N)
@@ -131,6 +157,7 @@ def verify_lehn_vanishings(
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
+    _log_factors(max_k)  # one build; every lower order reads its prefix
     report = []
     for k in range(2, max_k + 1):
         for target in blowup_targets(k):

@@ -260,34 +260,36 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(out)
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
-        """Raise to a rational power.
+        """Raise to a rational power alpha in one pass.
 
-        Non-negative integer exponents work for any base (iterated
-        multiplication); negative or fractional exponents require the
-        constant term to be exactly 1 and go through exp(a * log f).
+        With g = f^alpha, f g' = alpha f' g gives the recurrence
+        n f0 g_n = sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k}
+        (Knuth, TAOCP vol. 2, 4.7).  Non-negative integer exponents work
+        for any base: the valuation v is shifted out first, so
+        f^n = z^(n v) h^n with h0 != 0.  Other exponents require the
+        constant term to be exactly 1.
         """
         alpha = as_rational(exponent)
-        if alpha.denominator == 1:
+        f = self._coefficients
+        shift = 0
+        if alpha.denominator == 1 and alpha >= 0:
             n = alpha.numerator
-            if n >= 0:
-                return self._integer_pow(n)
-            if self._coefficients[0] != 1:
-                raise ValueError("rational power of non-unit series")
-            return (TruncatedPowerSeries.one(self.order) / self)._integer_pow(-n)
-        if self._coefficients[0] != 1:
+            if n == 0:
+                return TruncatedPowerSeries.one(self.order)
+            v = next((i for i, c in enumerate(f) if c), None)
+            if v is None or n * v > self.order:
+                return TruncatedPowerSeries.zero(self.order)
+            shift, f = n * v, f[v:]
+            g = [f[0] ** n]
+        elif f[0] != 1:
             raise ValueError("rational power of non-unit series")
-        return (self.log() * alpha).exp()
-
-    def _integer_pow(self, n: int) -> "TruncatedPowerSeries":
-        result = TruncatedPowerSeries.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        else:
+            g = [Fraction(1)]
+        p, q = alpha.numerator, alpha.denominator  # integer weights q((alpha + 1) k - n)
+        for m in range(1, self.order - shift + 1):
+            total = sum(((p + q) * k - q * m) * f[k] * g[m - k] for k in range(1, m + 1))
+            g.append(total / (q * m * f[0]))
+        return TruncatedPowerSeries([Fraction(0)] * shift + g)
 
     def __pow__(self, exponent: Scalar) -> "TruncatedPowerSeries":
         return self.pow(exponent)
@@ -308,9 +310,10 @@ class TruncatedPowerSeries:
     def revert(self) -> "TruncatedPowerSeries":
         """Compositional inverse g with f(g(z)) = z, for f0 = 0, f1 != 0.
 
-        Determined order by order: with g known below order m, the z^m
-        coefficient of f(g) depends on g_m only through f1 * g_m, so each
-        step is a single exact division.
+        Lagrange inversion: g_m = [w^(m-1)] phi^m / m with phi = w / f(w),
+        a unit series.  The powers phi^m are built by one product per
+        order, so the whole inverse costs O(N^3) (Brent and Kung, "Fast
+        algorithms for manipulating formal power series", 1978).
 
         >>> f = TruncatedPowerSeries([0, 1, 1, 1, 1, 1])   # z/(1-z)
         >>> print(f.revert())
@@ -318,12 +321,13 @@ class TruncatedPowerSeries:
         """
         if self.order < 1 or self._coefficients[0] != 0 or self._coefficients[1] == 0:
             raise ValueError("series not invertible under composition")
-        n = self.order
-        inv1 = 1 / self._coefficients[1]
-        g = [Fraction(0), inv1] + [Fraction(0)] * (n - 1)
-        for m in range(2, n + 1):
-            h = self.compose(TruncatedPowerSeries(g[: m + 1]))
-            g[m] = -h[m] * inv1
+        phi = 1 / TruncatedPowerSeries(self._coefficients[1:])
+        power = phi
+        g = [Fraction(0)]
+        for m in range(1, self.order + 1):
+            g.append(power[m - 1] / m)
+            if m < self.order:
+                power = power * phi
         return TruncatedPowerSeries(g)
 
 

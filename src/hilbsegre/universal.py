@@ -42,7 +42,6 @@ from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
 
 __all__ = [
     "BlowupTarget",
-    "SegreTable",
     "SurfaceInvariants",
     "UniversalSeriesSet",
     "blowup_targets",
@@ -52,9 +51,6 @@ __all__ = [
     "segre_series",
     "universal_series_set",
 ]
-
-ROUTES = ("closed", "engine", "lehn")
-
 
 @dataclass(frozen=True)
 class SurfaceInvariants:
@@ -211,58 +207,8 @@ def segre_series(
     return _exp_of_combination(zip(inv.as_tuple(), U._logs), N)
 
 
-def segre_number(
-    inv: SurfaceInvariants,
-    k: int,
-    U: UniversalSeriesSet,
-    table: "SegreTable | None" = None,
-) -> ExactRational:
-    """The k-th Segre number for `inv`; optionally recorded with route "engine"."""
+def segre_number(inv: SurfaceInvariants, k: int, U: UniversalSeriesSet) -> ExactRational:
+    """The k-th Segre number for `inv` through the engine."""
     if k > U.order:
         raise ValueError("insufficient truncation order")
-    value = segre_series(inv, k, U)[k]
-    if table is not None:
-        table.record(inv, k, value, "engine")
-    return value
-
-
-class SegreTable:
-    """Computed Segre numbers keyed by (invariants, k) with route labels.
-
-    The table only stores what it is given; agreement between routes is
-    checked by `discrepancies`, not enforced on insertion.
-    """
-
-    def __init__(self):
-        self._entries: dict[tuple[SurfaceInvariants, int], dict[str, Fraction]] = {}
-
-    def record(
-        self, inv: SurfaceInvariants, k: int, value, route: str
-    ) -> ExactRational:
-        if route not in ROUTES:
-            raise ValueError(f"unknown route {route!r}")
-        exact = Fraction(value)
-        self._entries.setdefault((inv, k), {})[route] = exact
-        return exact
-
-    def get(self, inv: SurfaceInvariants, k: int, route: str) -> ExactRational:
-        return self._entries[(inv, k)][route]
-
-    def routes(self, inv: SurfaceInvariants, k: int) -> dict[str, Fraction]:
-        return dict(self._entries.get((inv, k), {}))
-
-    def discrepancies(
-        self,
-    ) -> list[tuple[SurfaceInvariants, int, dict[str, Fraction]]]:
-        """Keys whose recorded routes disagree, in insertion order."""
-        found = []
-        for (inv, k), values in self._entries.items():
-            if len(set(values.values())) > 1:
-                found.append((inv, k, dict(values)))
-        return found
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries.items())
+    return segre_series(inv, k, U)[k]

@@ -1,9 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes values by a route different from the one
-under test: the Lagrange formula instead of order-by-order reversion,
-the Taylor sum instead of the exp recursion, finite differences
-instead of binomial algebra.
+under test: order-by-order undetermined coefficients instead of the
+Lagrange formula, the Taylor sum instead of the exp recursion, finite
+differences instead of binomial algebra.
 """
 
 from __future__ import annotations
@@ -13,21 +13,21 @@ from fractions import Fraction
 from hilbsegre import TruncatedPowerSeries
 
 
-def lagrange_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
-    """Compositional inverse via Lagrange's formula.
+def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """Compositional inverse by undetermined coefficients.
 
-    g_m = [w^(m-1)] (w / f(w))^m / m, which never consults the
-    undetermined-coefficient loop used by `TruncatedPowerSeries.revert`.
+    With g known below order m, the z^m coefficient of f(g) depends on
+    g_m only through f1 * g_m, so each order is one composition and one
+    exact division.  This never consults the Lagrange formula used by
+    `TruncatedPowerSeries.revert`.
     """
     n = f.order
-    coefficients = [Fraction(0)] * (n + 1)
-    shifted = TruncatedPowerSeries(f.coefficients[1:])  # f / w
-    leading = shifted[0]
-    unit = shifted / leading
-    for m in range(1, n + 1):
-        powered = unit.pow(-m)
-        coefficients[m] = powered[m - 1] / (leading**m) / m
-    return TruncatedPowerSeries(coefficients)
+    inv1 = 1 / f[1]
+    g = [Fraction(0), inv1] + [Fraction(0)] * (n - 1)
+    for m in range(2, n + 1):
+        h = f.compose(TruncatedPowerSeries(g[: m + 1]))
+        g[m] = -h[m] * inv1
+    return TruncatedPowerSeries(g)
 
 
 def exp_by_taylor_sum(g: TruncatedPowerSeries) -> TruncatedPowerSeries:

@@ -23,7 +23,7 @@ from hilbsegre import (
     extract_lehn_universal,
     generalized_binomial,
     lehn_series,
-    recursion_segre,
+    recursion_table,
     segre_number,
     segre_series,
     universal_series_set,
@@ -50,12 +50,12 @@ class _Timer:
 
 def test_criterion_01_closed_formula_vs_recursion():
     with _Timer("01 closed-vs-recursion", 1.0):
-        seqs = determine_b_s1(10)
+        rows = recursion_table(10, 30, determine_b_s1(10))
         for k in range(11):
             for g in range(1, 31):
                 closed = closed_segre(k, g)
                 assert closed == generalized_binomial(g - 2 * k + 1, k) * 2**k
-                assert recursion_segre(k, g, seqs) == closed, (k, g)
+                assert rows[k][g - 1] == closed, (k, g)
 
 
 def test_criterion_02_vanishing_range():

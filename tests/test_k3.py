@@ -21,6 +21,7 @@ from hilbsegre import (
     determine_b_s1,
     generalized_binomial,
     recursion_segre,
+    recursion_table,
 )
 
 from tests._oracles import finite_differences
@@ -148,6 +149,15 @@ def test_recursion_matches_closed():
             assert recursion_segre(k, g, seqs) == closed_segre(k, g), (k, g)
 
 
+def test_recursion_table_matches_closed_to_k30():
+    seqs = determine_b_s1(30)
+    rows = recursion_table(30, 100, seqs)
+    for g in (1, 2, 30, 61, 100):
+        for k in range(31):
+            assert rows[k][g - 1] == closed_segre(k, g), (k, g)
+    assert recursion_segre(30, 61, seqs) == rows[30][60]
+
+
 def test_recursion_requires_long_enough_sequences():
     seqs = determine_b_s1(2)
     with pytest.raises(ValueError, match="b-sequence too short"):
@@ -173,6 +183,10 @@ def test_b_prime_matches_b():
     b = determine_b_s1(10).b
     assert determine_b_prime(10) == b
     assert determine_b_prime(2)[2] == -8
+
+
+def test_b_prime_matches_b_at_16():
+    assert determine_b_s1(16).b == determine_b_prime(16)
 
 
 def test_b_prime_stability_across_system_sizes():

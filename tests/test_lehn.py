@@ -87,6 +87,21 @@ def test_substitution_roundtrip():
     assert wz.compose(zw).coefficients == identity.coefficients
 
 
+def test_lower_order_reads_prefix_of_larger_build():
+    from hilbsegre import TruncatedPowerSeries
+    from hilbsegre.lehn import _log_factors, _substitution
+
+    change_of_variable(12)
+    _log_factors(12)
+    fresh_zw, fresh_wz = _substitution.__wrapped__(6)
+    zw, wz = change_of_variable(6)
+    assert (zw.order, wz.order) == (6, 6)
+    assert (zw.coefficients, wz.coefficients) == (fresh_zw, fresh_wz)
+    w = TruncatedPowerSeries(fresh_wz)
+    fresh_logs = tuple(f.log().coefficients for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w))
+    assert _log_factors(6) == fresh_logs
+
+
 # -- the Lehn series ------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import doctest
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from hilbsegre import (
     parse_rational,
 )
 
-from tests._oracles import exp_by_taylor_sum, lagrange_revert
+from tests._oracles import exp_by_taylor_sum, undetermined_revert
 
 
 def series(*coefficients, order=None):
@@ -161,6 +162,23 @@ def test_pow_operator():
     assert (f ** F(1, 2)).coefficients == f.pow(F(1, 2)).coefficients
 
 
+def test_pow_matches_repeated_products():
+    # integer powers of non-unit bases and of bases with valuation 1 or 2
+    bases = (
+        series(2, -1, 3, order=7),
+        series(0, 1, 2, -1, order=7),
+        series(0, 0, F(1, 3), 5, order=7),
+    )
+    for base in bases:
+        product = TPS.one(7)
+        for n in range(6):
+            assert base.pow(n).coefficients == product.coefficients, (base, n)
+            product = product * base
+    unit = series(1, F(-2, 3), 4, order=7)
+    assert unit.pow(-3).coefficients == (TPS.one(7) / (unit * unit * unit)).coefficients
+    assert TPS.zero(4).pow(3).coefficients == TPS.zero(4).coefficients
+
+
 def test_pow_non_unit_rejections():
     with pytest.raises(ValueError, match="rational power of non-unit series"):
         Z6.pow(F(1, 2))
@@ -213,10 +231,25 @@ def test_revert_lehn_substitution_prefix():
     assert f.revert().coefficients == (F(0), F(1), F(-9), F(94), F(-1051))
 
 
-def test_revert_matches_lagrange_oracle():
+def test_revert_matches_undetermined_coefficient_oracle():
     for coeffs in ([0, 1, 9, 68, 466], [0, 2, 1, -3, 5, -1], [0, F(1, 2), 1, 1]):
         f = TPS(coeffs)
-        assert f.revert().coefficients == lagrange_revert(f).coefficients
+        assert f.revert().coefficients == undetermined_revert(f).coefficients
+
+
+@pytest.mark.parametrize("linear", [F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+def test_revert_matches_oracle_on_seeded_series(linear):
+    rng = random.Random(int(linear * 6))
+    for order in (1, 2, 3, 5, 8, 13, 20):
+        tail = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(order - 1)]
+        f = TPS([0, linear] + tail)
+        assert f.revert().coefficients == undetermined_revert(f).coefficients, order
+
+
+def test_revert_matches_oracle_on_lehn_substitution():
+    w = TPS.identity(24)
+    zw = w * (1 - w) * (1 - 2 * w).pow(4) / (1 - 6 * w + 6 * w * w).pow(3)
+    assert zw.revert().coefficients == undetermined_revert(zw).coefficients
 
 
 def test_taylor_oracle_gives_exp_of_z():

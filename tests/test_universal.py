@@ -15,7 +15,6 @@ from math import factorial
 import pytest
 
 from hilbsegre import (
-    SegreTable,
     SurfaceInvariants,
     TruncatedPowerSeries,
     UniversalSeriesSet,
@@ -119,6 +118,14 @@ def test_k3_family_matches_closed_formula():
             assert series[k] == closed_segre(k, g), (k, g)
 
 
+def test_k3_family_matches_closed_formula_at_order_30():
+    U30 = universal_series_set(30)
+    for g in (1, 5, 40):
+        series = segre_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), 30, U30)
+        for k in range(31):
+            assert series[k] == closed_segre(k, g), (k, g)
+
+
 def test_abelian_family_matches_b_sequence():
     series = segre_series(SurfaceInvariants(2, 0, 0, 0), 8, U8)
     assert series.coefficients == determine_b_s1(8).b
@@ -190,21 +197,3 @@ def test_section_count_is_3k_minus_1():
 def test_targets_require_k_at_least_2():
     with pytest.raises(ValueError, match="targets defined for k >= 2 only"):
         blowup_targets(1)
-
-
-# -- the provenance table ---------------------------------------------------------------
-
-
-def test_table_records_and_reports_discrepancies():
-    table = SegreTable()
-    inv = SurfaceInvariants(2, 0, 0, 0)
-    value = segre_number(inv, 2, U8, table=table)
-    assert value == -8
-    assert table.get(inv, 2, "engine") == -8
-    assert table.discrepancies() == []
-    table.record(inv, 2, F(-8), "lehn")
-    assert table.discrepancies() == []
-    table.record(inv, 2, F(5), "closed")
-    assert len(table.discrepancies()) == 1
-    with pytest.raises(ValueError, match="unknown route"):
-        table.record(inv, 2, F(1), "guess")
