@@ -1,0 +1,196 @@
+"""The cross-validation checks, one registry for the CLI and the tests.
+
+Each check is `check(U, order, max_k) -> list[Outcome]`, one `Outcome`
+per verdict line: U is the engine's series set, `order` the order of
+the series comparisons, `max_k` the largest index of the K3 and
+vanishing checks.  `REGISTRY` is in report order.  The library is
+called through its modules (`k3.closed_segre`), so what runs is what the
+module attribute holds, such as a tracing wrapper or an injected fault.
+"""
+
+from __future__ import annotations
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import wraps
+
+from . import k3, lehn, series, universal
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One verdict line of the report, with its first counterexample."""
+
+    name: str
+    ok: bool
+    counterexample: str = ""
+    values: str = ""  # printed between the name and the verdict
+    notes: tuple[str, ...] = ()  # printed on the lines below the verdict
+
+    def lines(self) -> list[str]:
+        verdict = "PASS" if self.ok else f"FAIL (first counterexample: {self.counterexample})"
+        head = f"{self.name}: {self.values} {verdict}" if self.values else f"{self.name}: {verdict}"
+        return [head, *self.notes]
+
+
+def _single(name: str):
+    """Make a one-line check from a function returning its first counterexample or None."""
+
+    def decorate(find):
+        @wraps(find)
+        def check(U, order: int, max_k: int) -> list[Outcome]:
+            counterexample = find(U, order, max_k)
+            return [Outcome(name, counterexample is None, counterexample or "")]
+        return check
+    return decorate
+
+
+def _fmt(inv: universal.SurfaceInvariants) -> str:
+    return f"(d,pi,kappa,e)=({inv.d},{inv.pi},{inv.kappa},{inv.e})"
+
+
+_EXPONENT_PAIRS = (
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(-1), Fraction(2)),
+    (Fraction(5, 2), Fraction(-3, 2)),
+)
+
+
+@_single("kernel-roundtrips")
+def kernel_roundtrips(U, order: int, max_k: int):
+    """exp/log, pow additivity and reversion on 50 seeded series of orders 2..order."""
+    Series = series.TruncatedPowerSeries
+    rng = random.Random(58123)
+    for i in range(50):
+        n = rng.randint(2, max(2, order))
+        tail = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
+        unit = Series([Fraction(1)] + tail)
+        if unit.log().exp().coefficients != unit.coefficients:
+            return f"exp(log f) != f for random unit series #{i}"
+        for alpha, beta in _EXPONENT_PAIRS:
+            product = unit.pow(alpha) * unit.pow(beta)
+            if product.coefficients != unit.pow(alpha + beta).coefficients:
+                return f"pow additivity failed for series #{i} at ({alpha},{beta})"
+        zero_const = Series([Fraction(0)] + tail)
+        if zero_const.exp().log().coefficients != zero_const.coefficients:
+            return f"log(exp g) != g for random series #{i}"
+        linear = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+        rest = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n - 1)]
+        invertible = Series([Fraction(0), linear] + rest)
+        identity = Series.identity(n).coefficients
+        inverse = invertible.revert()
+        roundtrips = (invertible.compose(inverse), inverse.compose(invertible))
+        if any(roundtrip.coefficients != identity for roundtrip in roundtrips):
+            return f"reversion roundtrip failed for series #{i}"
+
+
+@_single("closed-vs-recursion")
+def closed_vs_recursion(U, order: int, max_k: int):
+    """The K3 recursion table equals the closed formula for k <= max_k, 1 <= g <= 30."""
+    rows = k3.recursion_table(max_k, 30, k3.determine_b_s1(max_k))
+    for k in range(max_k + 1):
+        for g in range(1, 31):
+            lhs, rhs = rows[k][g - 1], k3.closed_segre(k, g)
+            if lhs != rhs:
+                return f"k={k}, g={g}: recursion {lhs} vs closed {rhs}"
+
+
+@_single("pascal-identity")
+def pascal_identity(U, order: int, max_k: int):
+    """2 s(k-1, g-3) = s(k, g) - s(k, g-1) for 1 <= k <= max_k and |g| <= 40."""
+    closed = k3.closed_segre
+    for k in range(1, max_k + 1):
+        for g in range(-40, 41):
+            lhs = 2 * closed(k - 1, g - 3)
+            rhs = closed(k, g) - closed(k, g - 1)
+            if lhs != rhs:
+                return f"k={k}, g={g}: {lhs} vs {rhs}"
+
+
+@_single("b-vs-bprime")
+def b_vs_bprime(U, order: int, max_k: int):
+    """The recursion's kernel b equals the interpolated b' to index max_k."""
+    pairs = itertools.zip_longest(k3.determine_b_s1(max_k).b, k3.determine_b_prime(max_k))
+    for l, (x, y) in enumerate(pairs):
+        if x != y:
+            return f"index {l}: b={x} vs b'={y}"
+
+
+@_single("engine-vs-lehn-grid")
+def engine_vs_lehn_grid(U, order: int, max_k: int):
+    """Engine and Lehn series agree to `order` on the 7 x 7 x 7 x 3 grid of tuples."""
+    grid = itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (0, 12, 24))
+    fmt = series.format_rational
+    for inv in itertools.starmap(universal.SurfaceInvariants, grid):
+        engine = universal.segre_series(inv, order, U).coefficients
+        oracle = lehn.lehn_series(inv, order).coefficients
+        if engine != oracle:
+            k = next(k for k, (x, y) in enumerate(zip(engine, oracle)) if x != y)
+            return f"{_fmt(inv)}, k={k}: engine {fmt(engine[k])} vs lehn {fmt(oracle[k])}"
+
+
+def lehn_vanishing(U, order: int, max_k: int) -> list[Outcome]:
+    """One line per k = 2..max_k: the Lehn route vanishes at both blow-up tuples."""
+    outcomes = []
+    report = lehn.verify_lehn_vanishings(max_k)
+    for k, batch in itertools.groupby(report, key=lambda entry: entry[0]):
+        batch = list(batch)
+        values = ", ".join(series.format_rational(c) for _, _, c in batch)
+        first = next((f"{_fmt(inv)} -> {c}" for _, inv, c in batch if c != 0), None)
+        outcomes.append(Outcome(f"lehn-vanishing k={k}", first is None, first or "", values))
+    return outcomes
+
+
+def s5_polynomial(U, order: int, max_k: int) -> list[Outcome]:
+    """The published s_5 polynomial vanishes at the k = 5 targets and matches the engine.
+
+    The engine comparison runs on 20 seeded tuples; on a mismatch the
+    axis and pair probes that localize the faulty monomials are listed.
+    """
+    details = []
+    for target in universal.blowup_targets(5):
+        value = lehn.eval_s5_polynomial(target.invariants)
+        if value != 0:
+            details.append(f"  nonzero at {_fmt(target.invariants)}: {value}")
+    rng = random.Random(90517)
+    fmt = series.format_rational
+    for _ in range(20):
+        inv = universal.SurfaceInvariants(
+            rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-10, 30)
+        )
+        polynomial = lehn.eval_s5_polynomial(inv)
+        engine = universal.segre_number(inv, 5, U)
+        if polynomial != engine:
+            details.append(
+                f"  transcription discrepancy at {_fmt(inv)}: "
+                f"polynomial {fmt(polynomial)} vs engine {fmt(engine)}"
+            )
+            for probe, delta in lehn.s5_transcription_probe(U):
+                if delta != 0:
+                    details.append(f"  probe {_fmt(probe)}: 120*(polynomial-engine) = {delta}")
+            break
+    first = details[0].strip() if details else ""
+    return [Outcome("s5-polynomial", not details, first, notes=tuple(details))]
+
+
+@_single("degenerate-family")
+def degenerate_family(U, order: int, max_k: int):
+    """Both routes give s_k = 0 for k = 1..order on (0, 2 kappa, kappa, 11 kappa)."""
+    for kappa in (1, 2, 3):
+        inv = universal.SurfaceInvariants(0, 2 * kappa, kappa, 11 * kappa)
+        engine = universal.segre_series(inv, order, U)
+        oracle = lehn.lehn_series(inv, order)
+        for k in range(1, order + 1):
+            if engine[k] != 0:
+                return f"engine nonzero at {_fmt(inv)}, k={k}: {engine[k]}"
+            if oracle[k] != 0:
+                return f"lehn nonzero at {_fmt(inv)}, k={k}: {oracle[k]}"
+
+
+REGISTRY = (
+    kernel_roundtrips, closed_vs_recursion, pascal_identity, b_vs_bprime,
+    engine_vs_lehn_grid, lehn_vanishing, s5_polynomial, degenerate_family,
+)

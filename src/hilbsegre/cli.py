@@ -5,12 +5,13 @@ Subcommands:
     number   one Segre number via the engine (optionally all routes)
     series   coefficients of A, B, C, D or of a full generating series
     lehn     one Segre number via the Lehn generating function
-    verify   the full cross-validation suite, one PASS/FAIL line per check
+    verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings, never as decimals.  The
 default truncation order is 8 and can be overridden with the
 SEGRE_DEFAULT_ORDER environment variable or per-command flags.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an
+`--output` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -18,30 +19,17 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import os
-import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .k3 import closed_segre, determine_b_prime, determine_b_s1, recursion_table
-from .lehn import (
-    eval_s5_polynomial,
-    lehn_series,
-    s5_transcription_probe,
-    verify_lehn_vanishings,
-)
+from .checks import REGISTRY
+from .k3 import closed_segre
+from .lehn import lehn_series
 from .series import TruncatedPowerSeries, format_rational
-from .universal import (
-    SurfaceInvariants,
-    UniversalSeriesSet,
-    blowup_targets,
-    segre_number,
-    segre_series,
-    universal_series_set,
-)
+from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 DEFAULT_ORDER = 8
 ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
@@ -112,9 +100,13 @@ def render_records(records: list[OutputRecord], fmt: str, values_only: bool = Fa
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _invariants_from(args: argparse.Namespace) -> SurfaceInvariants:
@@ -185,195 +177,22 @@ def cmd_lehn(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verification suite
-# ---------------------------------------------------------------------------
-
-
-def _fmt_inv(inv: SurfaceInvariants) -> str:
-    return f"(d,pi,kappa,e)=({inv.d},{inv.pi},{inv.kappa},{inv.e})"
-
-
-def _check_kernel_roundtrips(max_order: int) -> tuple[bool, str]:
-    rng = random.Random(58123)
-    exponent_pairs = (
-        (Fraction(1, 2), Fraction(1, 2)),
-        (Fraction(1, 3), Fraction(2, 3)),
-        (Fraction(-1), Fraction(2)),
-        (Fraction(5, 2), Fraction(-3, 2)),
-    )
-    top = max(2, max_order)
-    for i in range(30):
-        order = rng.randint(2, top)
-        tail = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(order)]
-        unit = TruncatedPowerSeries([Fraction(1)] + tail)
-        if unit.log().exp() != unit:
-            return False, f"exp(log f) != f for random unit series #{i}"
-        for alpha, beta in exponent_pairs:
-            if unit.pow(alpha) * unit.pow(beta) != unit.pow(alpha + beta):
-                return False, f"pow additivity failed for series #{i} at ({alpha},{beta})"
-        zero_const = TruncatedPowerSeries([Fraction(0)] + tail)
-        if zero_const.exp().log() != zero_const:
-            return False, f"log(exp g) != g for random series #{i}"
-        linear = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
-        rest = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order - 1)]
-        invertible = TruncatedPowerSeries([Fraction(0), linear] + rest)
-        identity = TruncatedPowerSeries.identity(order)
-        inverse = invertible.revert()
-        if invertible.compose(inverse) != identity or inverse.compose(invertible) != identity:
-            return False, f"reversion roundtrip failed for series #{i}"
-    return True, ""
-
-
-def _check_closed_vs_recursion(max_k: int) -> tuple[bool, str]:
-    rows = recursion_table(max_k, 30, determine_b_s1(max_k))
-    for k in range(max_k + 1):
-        for g in range(1, 31):
-            lhs = rows[k][g - 1]
-            rhs = closed_segre(k, g)
-            if lhs != rhs:
-                return False, f"k={k}, g={g}: recursion {lhs} vs closed {rhs}"
-    return True, ""
-
-
-def _check_pascal_identity(max_k: int) -> tuple[bool, str]:
-    for k in range(1, max_k + 1):
-        for g in range(-40, 41):
-            lhs = 2 * closed_segre(k - 1, g - 3)
-            rhs = closed_segre(k, g) - closed_segre(k, g - 1)
-            if lhs != rhs:
-                return False, f"k={k}, g={g}: {lhs} vs {rhs}"
-    return True, ""
-
-
-def _check_b_vs_bprime(max_k: int) -> tuple[bool, str]:
-    b = determine_b_s1(max_k).b
-    b_prime = determine_b_prime(max_k)
-    for l, (x, y) in enumerate(zip(b, b_prime)):
-        if x != y:
-            return False, f"index {l}: b={x} vs b'={y}"
-    return True, ""
-
-
-def _check_engine_vs_lehn_grid(U: UniversalSeriesSet, order: int) -> tuple[bool, str]:
-    grid = itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (0, 12, 24))
-    for inv in itertools.starmap(SurfaceInvariants, grid):
-        engine = segre_series(inv, order, U).coefficients
-        oracle = lehn_series(inv, order).coefficients
-        if engine != oracle:
-            k = next(k for k, (x, y) in enumerate(zip(engine, oracle)) if x != y)
-            return False, (
-                f"{_fmt_inv(inv)}, k={k}: engine {format_rational(engine[k])} "
-                f"vs lehn {format_rational(oracle[k])}"
-            )
-    return True, ""
-
-
-def _check_s5_polynomial(U: UniversalSeriesSet) -> tuple[bool, list[str]]:
-    details: list[str] = []
-    for target in blowup_targets(5):
-        value = eval_s5_polynomial(target.invariants)
-        if value != 0:
-            details.append(f"  nonzero at {_fmt_inv(target.invariants)}: {value}")
-    rng = random.Random(90517)
-    for _ in range(20):
-        inv = SurfaceInvariants(
-            rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-10, 30)
-        )
-        polynomial = eval_s5_polynomial(inv)
-        engine = segre_number(inv, 5, U)
-        if polynomial != engine:
-            details.append(
-                f"  transcription discrepancy at {_fmt_inv(inv)}: "
-                f"polynomial {format_rational(polynomial)} vs engine {format_rational(engine)}"
-            )
-            for probe, delta in s5_transcription_probe(U):
-                if delta != 0:
-                    details.append(
-                        f"  probe {_fmt_inv(probe)}: 120*(polynomial-engine) = {delta}"
-                    )
-            break
-    return not details, details
-
-
-def _check_degenerate_family(U: UniversalSeriesSet, order: int) -> tuple[bool, str]:
-    for kappa in (1, 2, 3):
-        inv = SurfaceInvariants(0, 2 * kappa, kappa, 11 * kappa)
-        engine = segre_series(inv, order, U)
-        oracle = lehn_series(inv, order)
-        for k in range(1, order + 1):
-            if engine[k] != 0:
-                return False, f"engine nonzero at {_fmt_inv(inv)}, k={k}: {engine[k]}"
-            if oracle[k] != 0:
-                return False, f"lehn nonzero at {_fmt_inv(inv)}, k={k}: {oracle[k]}"
-    return True, ""
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    max_k = args.max_k
-    if max_k < 2:
+    if args.max_k < 2:
         print("--max-k must be at least 2", file=sys.stderr)
         return 2
     order = args.max_order if args.max_order is not None else _default_order()
-    engine_order = max(order, 5)
-    base = universal_series_set(engine_order)
+    U = universal_series_set(max(order, 5))
     if args.inject_fault:
-        coefficients = list(base.D.coefficients)
+        coefficients = list(U.D.coefficients)
         coefficients[2] += 1
-        base = UniversalSeriesSet(
-            base.A, base.B, base.C, TruncatedPowerSeries(coefficients)
-        )
-    lines: list[str] = []
-    total = 0
-    failures = 0
-
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal total, failures
-        total += 1
-        if ok:
-            lines.append(f"{name}: PASS")
-        else:
-            failures += 1
-            lines.append(f"{name}: FAIL (first counterexample: {detail})")
-
-    ok, detail = _check_kernel_roundtrips(order)
-    add("kernel-roundtrips", ok, detail)
-    ok, detail = _check_closed_vs_recursion(max_k)
-    add("closed-vs-recursion", ok, detail)
-    ok, detail = _check_pascal_identity(max_k)
-    add("pascal-identity", ok, detail)
-    ok, detail = _check_b_vs_bprime(max_k)
-    add("b-vs-bprime", ok, detail)
-    ok, detail = _check_engine_vs_lehn_grid(base, order)
-    add("engine-vs-lehn-grid", ok, detail)
-    for k, batch in _grouped_vanishings(max_k):
-        total += 1
-        values = ", ".join(format_rational(c) for _, _, c in batch)
-        if all(c == 0 for _, _, c in batch):
-            lines.append(f"lehn-vanishing k={k}: {values} PASS")
-        else:
-            failures += 1
-            first = next((inv, c) for _, inv, c in batch if c != 0)
-            lines.append(
-                f"lehn-vanishing k={k}: {values} FAIL "
-                f"(first counterexample: {_fmt_inv(first[0])} -> {first[1]})"
-            )
-    ok, details = _check_s5_polynomial(base)
-    add("s5-polynomial", ok, details[0].strip() if details else "")
-    lines.extend(details)
-    ok, detail = _check_degenerate_family(base, order)
-    add("degenerate-family", ok, detail)
-
-    lines.append(f"verify: {total - failures}/{total} checks passed")
+        U = replace(U, D=TruncatedPowerSeries(coefficients))
+    outcomes = [outcome for check in REGISTRY for outcome in check(U, order, args.max_k)]
+    passed = sum(outcome.ok for outcome in outcomes)
+    lines = [line for outcome in outcomes for line in outcome.lines()]
+    lines.append(f"verify: {passed}/{len(outcomes)} checks passed")
     _emit("".join(line + "\n" for line in lines), args.output)
-    return 0 if failures == 0 else 1
-
-
-def _grouped_vanishings(max_k: int):
-    report = verify_lehn_vanishings(max_k)
-    for k in range(2, max_k + 1):
-        batch = [entry for entry in report if entry[0] == k]
-        yield k, batch
+    return 0 if passed == len(outcomes) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import ExactRational
+from .series import ExactRational, _grown_by_prefix
 
 __all__ = [
     "BSequences",
@@ -134,10 +134,17 @@ def determine_b_s1(K: int) -> BSequences:
     One recursion table serves the whole induction.  Step k appends row
     k - 1, which starts from the just-determined s(k - 1, 1), and grows
     every row by the genera 2k - 2 and 2k - 1, so the determination
-    costs O(K^3).
+    costs O(K^3).  Both sequences are prefix-stable, so the largest
+    determination so far is kept and a smaller K reads its prefix.
     """
     if K < 0:
         raise ValueError("sequence length must be non-negative")
+    b, s1 = _b_s1(K)
+    return BSequences(b=b, s1=s1)
+
+
+@_grown_by_prefix
+def _b_s1(K: int) -> tuple[tuple[Fraction, ...], ...]:
     b = [Fraction(1), Fraction(2)][: K + 1]
     s1 = [Fraction(1), Fraction(0)][: K + 1]
     rows = [[s1[0]]]
@@ -152,7 +159,7 @@ def determine_b_s1(K: int) -> BSequences:
         s1k = -sum(m(g) for g in range(2, 2 * k)) - (2 * k - 2) * bk
         b.append(bk)
         s1.append(s1k)
-    return BSequences(b=tuple(b), s1=tuple(s1))
+    return tuple(b), tuple(s1)
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:

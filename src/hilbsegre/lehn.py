@@ -32,15 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
-from .universal import (
-    SurfaceInvariants,
-    UniversalSeriesSet,
-    blowup_targets,
-    segre_number,
-)
+from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
+from .universal import SurfaceInvariants, UniversalSeriesSet, blowup_targets, segre_number
 
 __all__ = [
     "LehnExponents",
@@ -73,25 +67,6 @@ def lehn_exponents(inv: SurfaceInvariants) -> LehnExponents:
         c=Fraction(inv.d - inv.pi, 2) + chi,
         chi=chi,
     )
-
-
-def _grown_by_prefix(build):
-    """Cache a build of coefficient tuples at the largest order requested so far.
-
-    The cached quantities are prefix-stable: their coefficients up to
-    z^N do not change when N grows, so a request at a smaller order
-    reads the prefixes of the largest build.
-    """
-    largest = [(-1, ())]  # one (order, parts) pair, replaced whole
-
-    @wraps(build)
-    def cached(N: int) -> tuple[tuple[Fraction, ...], ...]:
-        order, parts = largest[0]
-        if N > order:
-            order, parts = largest[0] = N, build(N)
-        return tuple(part[: N + 1] for part in parts)
-
-    return cached
 
 
 def change_of_variable(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import wraps
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -341,3 +342,22 @@ def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(
         [sum((w * log[n] for w, log in terms), Fraction(0)) for n in range(order + 1)]
     ).exp()
+
+
+def _grown_by_prefix(build):
+    """Cache a build of coefficient tuples at the largest order requested so far.
+
+    The cached quantities are prefix-stable: their entries up to index
+    N do not change when N grows, so a request at a smaller order reads
+    the prefixes of the largest build.
+    """
+    largest = [(-1, ())]  # one (order, parts) pair, replaced whole
+
+    @wraps(build)
+    def cached(N: int) -> tuple[tuple[Fraction, ...], ...]:
+        order, parts = largest[0]
+        if N > order:
+            order, parts = largest[0] = N, build(N)
+        return tuple(part[: N + 1] for part in parts)
+
+    return cached

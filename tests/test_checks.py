@@ -1,0 +1,113 @@
+"""Negative controls for the verification registry, and its coverage guard.
+
+Each control replaces one ingredient through its module attribute, so
+it also shows that the checks call the library through its modules,
+and asserts that the check fails with the expected first counterexample.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, k3, lehn
+from hilbsegre import universal_series_set
+from tests import test_acceptance
+
+
+def _bumped_at(fn, *at):
+    """`fn` plus one on exactly the arguments `at`."""
+    return lambda *args: fn(*args) + (args == at)
+
+
+def _single_failure(check, U, order, max_k):
+    [outcome] = check(U, order, max_k)
+    assert not outcome.ok
+    return outcome.counterexample
+
+
+def test_kernel_roundtrips_catches_a_perturbed_reversion(monkeypatch):
+    revert = TruncatedPowerSeries.revert
+
+    def perturbed(self):
+        coefficients = list(revert(self).coefficients)
+        coefficients[-1] += 1
+        return TruncatedPowerSeries(coefficients)
+
+    monkeypatch.setattr(TruncatedPowerSeries, "revert", perturbed)
+    counterexample = _single_failure(checks.kernel_roundtrips, None, 4, 2)
+    assert counterexample == "reversion roundtrip failed for series #0"
+
+
+def test_closed_vs_recursion_catches_a_wrong_closed_value(monkeypatch):
+    monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 3, 7))
+    counterexample = _single_failure(checks.closed_vs_recursion, None, 0, 3)
+    assert counterexample.startswith("k=3, g=7: recursion ")
+
+
+def test_pascal_identity_catches_a_wrong_closed_value(monkeypatch):
+    monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 3, 7))
+    assert _single_failure(checks.pascal_identity, None, 0, 3).startswith("k=3, g=7: ")
+
+
+def test_b_vs_bprime_catches_a_bumped_kernel_entry(monkeypatch):
+    b_prime = k3.determine_b_prime
+    monkeypatch.setattr(
+        k3, "determine_b_prime", lambda K: tuple(x + (l == 4) for l, x in enumerate(b_prime(K)))
+    )
+    assert _single_failure(checks.b_vs_bprime, None, 0, 5).startswith("index 4: b=")
+
+
+def test_engine_vs_lehn_grid_catches_one_wrong_lehn_series(monkeypatch):
+    inv = SurfaceInvariants(-3, -3, -3, 12)
+    monkeypatch.setattr(lehn, "lehn_series", _bumped_at(lehn.lehn_series, inv, 2))
+    counterexample = _single_failure(checks.engine_vs_lehn_grid, universal_series_set(5), 2, 2)
+    assert counterexample == "(d,pi,kappa,e)=(-3,-3,-3,12), k=0: engine 1 vs lehn 2"
+
+
+def test_lehn_vanishing_catches_a_nonzero_coefficient(monkeypatch):
+    report = lehn.verify_lehn_vanishings
+    monkeypatch.setattr(
+        lehn,
+        "verify_lehn_vanishings",
+        lambda max_k: tuple((k, inv, c + (k == 3)) for k, inv, c in report(max_k)),
+    )
+    outcomes = checks.lehn_vanishing(None, 0, 4)
+    assert [outcome.ok for outcome in outcomes] == [True, False, True]
+    assert outcomes[1].lines() == [
+        "lehn-vanishing k=3: 1, 1 FAIL (first counterexample: (d,pi,kappa,e)=(14,2,-1,25) -> 1)"
+    ]
+
+
+def test_s5_polynomial_catches_a_shifted_polynomial(monkeypatch):
+    polynomial = lehn.eval_s5_polynomial
+    monkeypatch.setattr(lehn, "eval_s5_polynomial", lambda inv: polynomial(inv) + 1)
+    [outcome] = checks.s5_polynomial(universal_series_set(5), 5, 2)
+    assert not outcome.ok
+    assert outcome.counterexample == "nonzero at (d,pi,kappa,e)=(28,4,-1,25): 1"
+    assert outcome.notes[2].startswith("  transcription discrepancy at ")
+    assert outcome.notes[3].startswith("  probe (d,pi,kappa,e)=")
+
+
+def test_degenerate_family_catches_the_d2_fault():
+    U = universal_series_set(5)
+    coefficients = list(U.D.coefficients)
+    coefficients[2] += 1
+    faulty = replace(U, D=TruncatedPowerSeries(coefficients))
+    counterexample = _single_failure(checks.degenerate_family, faulty, 4, 2)
+    assert counterexample == "engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1"
+
+
+def test_every_registry_check_runs_in_an_acceptance_criterion(monkeypatch):
+    """A check joins `verify` only together with an acceptance criterion and its budget."""
+    ran = set()
+    for check in checks.REGISTRY:
+
+        def stub(U, order, max_k, name=check.__name__):
+            ran.add(name)
+            return [checks.Outcome(name, True)]
+
+        monkeypatch.setattr(checks, check.__name__, stub)
+    for name, criterion in vars(test_acceptance).items():
+        if name.startswith("test_criterion_"):
+            criterion()
+    assert ran == {check.__name__ for check in checks.REGISTRY}

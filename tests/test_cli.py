@@ -141,12 +141,40 @@ def test_lehn_subcommand(capsys):
 # -- verify -----------------------------------------------------------------------
 
 
+SMALL_REPORT = (
+    "kernel-roundtrips: PASS\n"
+    "closed-vs-recursion: PASS\n"
+    "pascal-identity: PASS\n"
+    "b-vs-bprime: PASS\n"
+    "engine-vs-lehn-grid: PASS\n"
+    "lehn-vanishing k=2: 0, 0 PASS\n"
+    "s5-polynomial: PASS\n"
+    "degenerate-family: PASS\n"
+    "verify: 8/8 checks passed\n"
+)
+
+SMALL_FAULT_REPORT = (
+    "kernel-roundtrips: PASS\n"
+    "closed-vs-recursion: PASS\n"
+    "pascal-identity: PASS\n"
+    "b-vs-bprime: PASS\n"
+    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(-3,-3,-3,0), k=2: engine 51/2 vs lehn 57/2)\n"
+    "lehn-vanishing k=2: 0, 0 PASS\n"
+    "s5-polynomial: FAIL (first counterexample: transcription discrepancy at (d,pi,kappa,e)=(-5,-5,-5,-10): polynomial -593653/8 vs engine -1718639/24)\n"
+    "  transcription discrepancy at (d,pi,kappa,e)=(-5,-5,-5,-10): polynomial -593653/8 vs engine -1718639/24\n"
+    "  probe (d,pi,kappa,e)=(0,0,2,0): 120*(polynomial-engine) = -2240\n"
+    "  probe (d,pi,kappa,e)=(1,0,1,0): 120*(polynomial-engine) = -3900\n"
+    "  probe (d,pi,kappa,e)=(0,1,1,0): 120*(polynomial-engine) = -3840\n"
+    "  probe (d,pi,kappa,e)=(0,0,1,1): 120*(polynomial-engine) = 800\n"
+    "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
+    "verify: 5/8 checks passed\n"
+)
+
+
 def test_verify_small_run_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-k", "2", "--max-order", "4")
     assert code == 0
-    assert "lehn-vanishing k=2: 0, 0 PASS" in out
-    assert "FAIL" not in out
-    assert out.splitlines()[-1] == "verify: 8/8 checks passed"
+    assert out == SMALL_REPORT
 
 
 def test_verify_is_deterministic(capsys):
@@ -158,8 +186,7 @@ def test_verify_is_deterministic(capsys):
 def test_verify_injected_fault_fails(capsys):
     code, out = run_cli(capsys, "verify", "--max-k", "2", "--max-order", "4", "--inject-fault")
     assert code == 1
-    assert "FAIL" in out
-    assert "first counterexample" in out
+    assert out == SMALL_FAULT_REPORT
 
 
 def test_verify_output_file(tmp_path, capsys):
@@ -168,6 +195,23 @@ def test_verify_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert "checks passed" in path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--max-k", "2", "--max-order", "2"),
+        ("number", "--d", "2", "--pi", "0", "--kappa", "0", "--e", "0", "--k", "2"),
+    ],
+)
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "report.txt"
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--output", str(path)])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: No such file or directory\n"
 
 
 # -- plumbing -----------------------------------------------------------------------
