@@ -9,9 +9,11 @@ Subcommands:
 
 Values are printed as exact "p/q" strings, never as decimals.  The
 default truncation order is 8 and can be overridden with the
-SEGRE_DEFAULT_ORDER environment variable or per-command flags.
-Exit codes: 0 success, 1 verification failure, 2 usage error or an
-`--output` path that cannot be written.
+SEGRE_DEFAULT_ORDER environment variable or per-command flags; no
+order, k or max-k may exceed MAX_ORDER.  Exit codes: 0 success,
+1 verification failure, 2 usage error (an order above MAX_ORDER
+included) or an `--output` path that cannot be written, which is found
+before any work starts.
 """
 
 from __future__ import annotations
@@ -33,6 +35,12 @@ from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 DEFAULT_ORDER = 8
 ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
+#: The largest --k, --order, --max-order, --max-k or SEGRE_DEFAULT_ORDER
+#: accepted: the largest power of two at which every command ends within
+#: a minute.  The dearest one at order N, `verify --max-order N --max-k N`,
+#: took 8.8 s at N = 40, 14 s at 48 and 45 s at 64 on a 2-vCPU machine;
+#: the fit t ~ N^3.5 puts N = 80 at about 90 s and N = 96 at 3 minutes.
+MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 
 _SERIES_TUPLES = {
@@ -51,9 +59,9 @@ def _default_order() -> int:
         value = int(raw)
     except ValueError:
         value = -1
-    if value < 0:
+    if not 0 <= value <= MAX_ORDER:
         print(
-            f"{ORDER_ENV_VAR} must be a non-negative integer, got {raw!r}",
+            f"{ORDER_ENV_VAR} must be an integer from 0 to {MAX_ORDER}, got {raw!r}",
             file=sys.stderr,
         )
         raise SystemExit(2)
@@ -264,6 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("k", "order", "max_order", "max_k"):
+        value = getattr(args, flag, None)
+        if value is not None and value > MAX_ORDER:
+            option = "--" + flag.replace("_", "-")
+            print(f"{option} must be at most {MAX_ORDER}, got {value}", file=sys.stderr)
+            return 2
+    if getattr(args, "output", None) is not None:
+        _emit("", args.output)  # open it now, as a shell redirection would: fail before any work
     return args.func(args)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import ExactRational, _grown_by_prefix
+from .series import ExactRational, _grown_by_prefix, _scaled
 
 __all__ = [
     "BSequences",
@@ -94,10 +94,8 @@ class BSequences:
                     raise ValueError(f"{name}[{i}] must be {expected}, got {seq[i]}")
 
 
-def _grow_rows(
-    rows: list[list[Fraction]], b: tuple[ExactRational, ...] | list, gmax: int
-) -> list[list[Fraction]]:
-    """Extend every row of a recursion table to genus gmax, in place.
+def _grow_rows(rows: list[list[int]], b: list[int], gmax: int) -> list[list[int]]:
+    """Extend every row of an integer recursion table to genus gmax, in place.
 
     Row l at genus g reads rows 0 .. l at genus g - 1, so the rows are
     grown in ascending order.
@@ -112,7 +110,9 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
     """Rows s(l, g) for 0 <= l <= K, 1 <= g <= G by iterating the convolution.
 
     Row l at genus g sits at rows[l][g - 1]; one table answers every
-    (k, g) inside it, at O(K^2 G) for the whole table.
+    (k, g) inside it, at O(K^2 G) for the whole table.  The table is
+    grown over integers: with b and s1 written over one denominator D,
+    D^g s(l, g) is an integer combination of D^(g-1) s(l - j, g - 1).
     """
     if G < 1:
         raise ValueError("recursion route is defined for g >= 1 only")
@@ -120,7 +120,9 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
         raise ValueError("k must be non-negative")
     if len(seqs.b) <= K:
         raise ValueError("b-sequence too short")
-    return _grow_rows([[Fraction(seqs.s1[l])] for l in range(K + 1)], seqs.b, G)
+    nums, den = _scaled(seqs.b[: K + 1] + seqs.s1[: K + 1])
+    rows = _grow_rows([[s] for s in nums[K + 1 :]], nums[: K + 1], G)
+    return [[Fraction(t, den**g) for g, t in enumerate(row, 1)] for row in rows]
 
 
 def determine_b_s1(K: int) -> BSequences:
@@ -130,6 +132,8 @@ def determine_b_s1(K: int) -> BSequences:
     recursion from genus 1 upward expresses s(k, 2k) and s(k, 2k - 1)
     as affine functions of the two unknowns (s(k, 1), b_k) whose linear
     part is unimodular, and the two vanishings make the system square.
+    The seeds are integers, so every b_k and s(k, 1) is one too, and the
+    induction runs over `int`.
 
     One recursion table serves the whole induction.  Step k appends row
     k - 1, which starts from the just-determined s(k - 1, 1), and grows
@@ -145,21 +149,21 @@ def determine_b_s1(K: int) -> BSequences:
 
 @_grown_by_prefix
 def _b_s1(K: int) -> tuple[tuple[Fraction, ...], ...]:
-    b = [Fraction(1), Fraction(2)][: K + 1]
-    s1 = [Fraction(1), Fraction(0)][: K + 1]
+    b = [1, 2][: K + 1]
+    s1 = [1, 0][: K + 1]
     rows = [[s1[0]]]
     for k in range(2, K + 1):
         rows.append([s1[k - 1]])
         _grow_rows(rows, b, 2 * k - 1)
 
-        def m(g: int) -> Fraction:
+        def m(g: int) -> int:
             return sum(b[l] * rows[k - l][g - 2] for l in range(1, k))
 
         bk = -m(2 * k)
         s1k = -sum(m(g) for g in range(2, 2 * k)) - (2 * k - 2) * bk
         b.append(bk)
         s1.append(s1k)
-    return tuple(b), tuple(s1)
+    return tuple(map(Fraction, b)), tuple(map(Fraction, s1))
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:

@@ -4,9 +4,12 @@ A series of order N stores the coefficients of z^0 .. z^N; everything
 above z^N is unknown (not zero).  Binary operations between series of
 different orders truncate to the smaller order, the precision actually
 supported by both operands, and equality compares coefficients up to
-the smaller order.  Coefficients are `fractions.Fraction` throughout,
-so every operation is exact and every coefficient stays in canonical
-reduced form; floats are rejected on input.
+the smaller order.  Coefficients are `fractions.Fraction` at the
+interface, so every operation is exact and every coefficient stays in
+canonical reduced form; floats are rejected on input.  Inside the
+product, exp, log and reversion kernels the coefficients are cleared of
+denominators once, the recurrence runs over Python integers, and each
+output coefficient is reduced once (Knuth, TAOCP vol. 2, 4.7).
 
 Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
@@ -18,6 +21,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -199,10 +204,10 @@ class TruncatedPowerSeries:
     def __mul__(self, other) -> "TruncatedPowerSeries":
         if isinstance(other, TruncatedPowerSeries):
             n = min(self.order, other.order)
-            f, g = self._coefficients, other._coefficients
-            return TruncatedPowerSeries(
-                [sum(f[i] * g[k - i] for i in range(k + 1)) for k in range(n + 1)]
-            )
+            f, f_den = _scaled(self._coefficients[: n + 1])
+            g, g_den = _scaled(other._coefficients[: n + 1])
+            den = f_den * g_den
+            return TruncatedPowerSeries([Fraction(c, den) for c in _convolve(f, g, n)])
         value = as_rational(other)
         return TruncatedPowerSeries([c * value for c in self._coefficients])
 
@@ -233,19 +238,38 @@ class TruncatedPowerSeries:
     def exp(self) -> "TruncatedPowerSeries":
         """Exponential of a series with zero constant term.
 
-        Computed by the coefficientwise recursion n E_n = sum_{j<=n} j f_j E_{n-j}
-        that couples E' = f' E, so no intermediate leaves the rationals.
+        The recursion n E_n = sum_{j<=n} j f_j E_{n-j} (from E' = f' E)
+        runs over integers: with f_j = F_j / D, the scaled coefficients
+        e_n = D^n n! E_n satisfy e_n = sum_j C(n-1, j-1) c_j e_{n-j},
+        where c_j = j! D^(j-1) F_j.
         """
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
-        jf = [j * c for j, c in enumerate(self._coefficients)]
+        f, den = _scaled(self._coefficients)
+        c = []  # c_1 .. c_N
+        weight = 1  # j! D^(j-1)
+        for j in range(1, len(f)):
+            weight *= j
+            c.append(weight * f[j])
+            weight *= den
+        e = [1]
         out = [Fraction(1)]
-        for m in range(1, self.order + 1):
-            out.append(sum(jf[j] * out[m - j] for j in range(1, m + 1)) / m)
+        binomials = [1]  # C(n-1, j-1) for j = 1..n
+        scale = 1  # D^n n!
+        for n in range(1, len(f)):
+            e.append(sum(map(mul, map(mul, binomials, c), reversed(e))))
+            scale *= den * n
+            out.append(Fraction(e[n], scale))
+            binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
         return TruncatedPowerSeries(out)
 
     def log(self) -> "TruncatedPowerSeries":
         """Logarithm of a series with constant term exactly 1.
+
+        From f L' = f', the coefficients M_n = n L_n satisfy
+        M_n = n f_n - sum_{0<j<n} M_j f_{n-j}.  With f_i = F_i / D this
+        runs over integers: m_n = D^n M_n and g_i = D^(i-1) F_i give
+        m_n = n g_n - sum_{0<j<n} m_j g_{n-j}.
 
         >>> f = 1 + TruncatedPowerSeries.identity(6)
         >>> f.log().exp() == f
@@ -253,11 +277,19 @@ class TruncatedPowerSeries:
         """
         if self._coefficients[0] != 1:
             raise ValueError("log of non-unit series")
-        f = self._coefficients
+        f, den = _scaled(self._coefficients)
+        g = [0]
+        power = 1  # D^(i-1)
+        for c in f[1:]:
+            g.append(power * c)
+            power *= den
+        m = [0]
         out = [Fraction(0)]
-        for m in range(1, self.order + 1):
-            convolution = sum((j * out[j] * f[m - j] for j in range(1, m)), Fraction(0))
-            out.append(f[m] - convolution / m)
+        scale = 1  # D^n
+        for n in range(1, len(f)):
+            m.append(n * g[n] - sum(map(mul, m[1:n], g[n - 1 : 0 : -1])))
+            scale *= den
+            out.append(Fraction(m[n], n * scale))
         return TruncatedPowerSeries(out)
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
@@ -312,7 +344,8 @@ class TruncatedPowerSeries:
         """Compositional inverse g with f(g(z)) = z, for f0 = 0, f1 != 0.
 
         Lagrange inversion: g_m = [w^(m-1)] phi^m / m with phi = w / f(w),
-        a unit series.  The powers phi^m are built by one product per
+        a unit series.  The powers phi^m are kept as integer numerators
+        over D^m, with phi = P / D, and built by one integer product per
         order, so the whole inverse costs O(N^3) (Brent and Kung, "Fast
         algorithms for manipulating formal power series", 1978).
 
@@ -323,13 +356,26 @@ class TruncatedPowerSeries:
         if self.order < 1 or self._coefficients[0] != 0 or self._coefficients[1] == 0:
             raise ValueError("series not invertible under composition")
         phi = 1 / TruncatedPowerSeries(self._coefficients[1:])
-        power = phi
+        p, den = _scaled(phi.coefficients)
+        power, scale = p, den  # phi^m = power / scale
         g = [Fraction(0)]
         for m in range(1, self.order + 1):
-            g.append(power[m - 1] / m)
+            g.append(Fraction(power[m - 1], m * scale))
             if m < self.order:
-                power = power * phi
+                power = _convolve(power, p, phi.order)
+                scale *= den
         return TruncatedPowerSeries(g)
+
+
+def _scaled(coeffs) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator D: c_i = nums[i] / D."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
+    """Coefficients 0 .. n of the product of two integer sequences."""
+    return [sum(map(mul, f[: k + 1], g[k::-1])) for k in range(n + 1)]
 
 
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:

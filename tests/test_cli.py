@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbsegre import SurfaceInvariants, parse_rational
-from hilbsegre.cli import OutputRecord, main, render_records
+from hilbsegre import cli
+from hilbsegre.cli import MAX_ORDER, OutputRecord, main, render_records
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +205,9 @@ def test_verify_output_file(tmp_path, capsys):
         ("number", "--d", "2", "--pi", "0", "--kappa", "0", "--e", "0", "--k", "2"),
     ],
 )
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the path is refused before any work: the series set is never built
+    monkeypatch.setattr(cli, "universal_series_set", _no_work)
     path = tmp_path / "missing" / "report.txt"
     with pytest.raises(SystemExit) as excinfo:
         main([*argv, "--output", str(path)])
@@ -215,6 +218,53 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
 
 
 # -- plumbing -----------------------------------------------------------------------
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+def _no_work(*args, **kwargs):
+    raise _WorkStarted
+
+
+TUPLE = ("--d", "2", "--pi", "0", "--kappa", "0", "--e", "0")
+ORDER_ARGV = [
+    (("number", *TUPLE, "--k"), "--k"),
+    (("number", *TUPLE, "--k", "2", "--order"), "--order"),
+    (("lehn", *TUPLE, "--k"), "--k"),
+    (("series", "--which", "A", "--order"), "--order"),
+    (("verify", "--max-order"), "--max-order"),
+    (("verify", "--max-k"), "--max-k"),
+]
+
+
+@pytest.mark.parametrize("argv,option", ORDER_ARGV)
+def test_orders_above_the_maximum_are_refused(capsys, monkeypatch, argv, option):
+    # parsing only: the work is stubbed, so the limit itself starts it
+    monkeypatch.setattr(cli, "universal_series_set", _no_work)
+    monkeypatch.setattr(cli, "lehn_series", _no_work)
+    code = main([*argv, str(MAX_ORDER + 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"{option} must be at most {MAX_ORDER}, got {MAX_ORDER + 1}\n"
+    with pytest.raises(_WorkStarted):
+        main([*argv, str(MAX_ORDER)])
+
+
+def test_default_order_above_the_maximum_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "universal_series_set", _no_work)
+    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", str(MAX_ORDER + 1))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["series", "--which", "A"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == (
+        f"SEGRE_DEFAULT_ORDER must be an integer from 0 to {MAX_ORDER}, got '{MAX_ORDER + 1}'\n"
+    )
+    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", str(MAX_ORDER))
+    with pytest.raises(_WorkStarted):
+        main(["series", "--which", "A"])
 
 
 def test_default_order_env_override(capsys, monkeypatch):

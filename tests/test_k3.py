@@ -158,6 +158,26 @@ def test_recursion_table_matches_closed_to_k30():
     assert recursion_segre(30, 61, seqs) == rows[30][60]
 
 
+def test_recursion_table_over_rational_sequences():
+    # the integer table runs over one common denominator; check it against
+    # the convolution iterated directly over Fraction
+    seqs = BSequences(b=(F(1), F(2), F(1, 3), F(-5, 7)), s1=(F(1), F(0), F(2, 9), F(4, 5)))
+    expected = [[seqs.s1[l]] for l in range(4)]
+    for g in range(2, 7):
+        for l in range(4):
+            expected[l].append(sum(seqs.b[j] * expected[l - j][g - 2] for j in range(l + 1)))
+    assert recursion_table(3, 6, seqs) == expected
+
+
+def test_k3_results_are_fractions():
+    # the recursion runs over int, and Fraction(3) == 3, so equality checks
+    # cannot see a leaked int; the boundary type is checked directly
+    seqs = determine_b_s1(12)
+    rows = recursion_table(12, 30, seqs)
+    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row)):
+        assert type(value) is F
+
+
 def test_recursion_requires_long_enough_sequences():
     seqs = determine_b_s1(2)
     with pytest.raises(ValueError, match="b-sequence too short"):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
@@ -165,6 +166,21 @@ def test_route_equivalence_on_sample_tuples():
         assert lehn_series(inv, 8).coefficients == segre_series(inv, 8, U8).coefficients
 
 
+REACH_GRID = [
+    SurfaceInvariants(d, pi, kappa, e)
+    for d in (-2, 0, 3) for pi in (-1, 2) for kappa in (-1, 1) for e in (0, 13, 24)
+]
+
+
+def test_routes_agree_and_k_factorial_sk_is_integral_at_order_30():
+    U30 = universal_series_set(30)
+    for inv in REACH_GRID:
+        engine = segre_series(inv, 30, U30)
+        assert engine.coefficients == lehn_series(inv, 30).coefficients, inv
+        for k, value in enumerate(engine.coefficients):
+            assert (factorial(k) * value).denominator == 1, (inv, k)
+
+
 # -- vanishing verification -----------------------------------------------------------------
 
 
@@ -180,6 +196,14 @@ def test_vanishing_report_k2_and_k5():
     assert report[(2, (8, 2, -1, 25))] == 0
     assert report[(5, (28, 4, -1, 25))] == 0
     assert report[(5, (29, 5, -1, 25))] == 0
+
+
+def test_vanishing_report_is_all_zero_to_k20():
+    report = verify_lehn_vanishings(20)
+    assert [(k, inv) for k, inv, _ in report] == [
+        (k, target.invariants) for k in range(2, 21) for target in blowup_targets(k)
+    ]
+    assert all(c == 0 for _, _, c in report)
 
 
 def test_vanishing_needs_k_at_least_2():

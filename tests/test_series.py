@@ -19,7 +19,13 @@ from hilbsegre import (
     parse_rational,
 )
 
-from tests._oracles import exp_by_taylor_sum, undetermined_revert
+from tests._oracles import (
+    exp_by_taylor_sum,
+    fraction_exp,
+    fraction_log,
+    fraction_mul,
+    undetermined_revert,
+)
 
 
 def series(*coefficients, order=None):
@@ -270,6 +276,70 @@ def test_revert_preconditions():
         TPS([0, 0, 1, 1]).revert()
 
 
+# -- integer kernels against the Fraction references ----------------------------
+
+MERSENNE_61 = 2**61 - 1
+
+
+def _seeded_series(rng, order, constant):
+    """Signed coefficients over small, large prime and composite denominators."""
+    denominators = (1, 2, 3, 12, MERSENNE_61, MERSENNE_61 * 7, 2**89 - 1)
+    tail = [F(rng.randint(-10**6, 10**6), rng.choice(denominators)) for _ in range(order)]
+    return TPS([constant] + tail)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_kernels_match_fraction_references(seed):
+    rng = random.Random(seed)
+    for order in (0, 1, 2, 5, 9, 14):
+        f = _seeded_series(rng, order, F(rng.randint(-9, 9), rng.choice((1, MERSENNE_61))))
+        g = _seeded_series(rng, order + rng.randint(0, 3), F(-5, 3))  # mixed orders
+        unit = _seeded_series(rng, order, F(1))
+        nilpotent = _seeded_series(rng, order, F(0))
+        pairs = [
+            (f * g, fraction_mul(f, g)),
+            (g * f, fraction_mul(g, f)),
+            (nilpotent.exp(), fraction_exp(nilpotent)),
+            (unit.log(), fraction_log(unit)),
+        ]
+        if order >= 1 and nilpotent[1] != 0:
+            pairs.append((nilpotent.revert(), undetermined_revert(nilpotent)))
+        for kernel, reference in pairs:
+            assert kernel.order == reference.order == order
+            assert kernel.coefficients == reference.coefficients, (seed, order)
+
+
+def test_integer_kernels_on_edge_series():
+    zero = TPS.zero(5)
+    f = _seeded_series(random.Random(7), 5, F(-1, MERSENNE_61))
+    assert (zero * f).coefficients == fraction_mul(zero, f).coefficients == (F(0),) * 6
+    assert zero.exp().coefficients == TPS.one(5).coefficients
+    assert TPS.one(5).log().coefficients == zero.coefficients
+    assert (TPS.zero(0) * TPS.one(0)).coefficients == (F(0),)
+    assert TPS.zero(0).exp().coefficients == (F(1),)
+    assert TPS.one(0).log().coefficients == (F(0),)
+    z1 = TPS([0, F(-3, MERSENNE_61)])
+    assert z1.revert().coefficients == (F(0), F(-MERSENNE_61, 3))
+    assert z1.exp().coefficients == fraction_exp(z1).coefficients
+    scalar = F(-7, MERSENNE_61)
+    assert (f * scalar).coefficients == fraction_mul(f, TPS.constant(scalar, 5)).coefficients
+    assert (scalar * f).coefficients == (f * scalar).coefficients
+
+
+def test_series_operations_return_fraction_coefficients():
+    # Fraction(3) == 3 and str(Fraction(3)) == "3", so equality checks and
+    # digests cannot see a leaked int; the type is checked directly.
+    f = series(2, 1, -3, 5, order=6)
+    unit = series(1, F(1, 2), 4, order=6)
+    results = [
+        f + 1, f - unit, -f, f * unit, f * 3, 3 * f, f / unit, f / 2, 2 / unit,
+        Z6.exp(), (1 + Z6).log(), unit.pow(F(1, 3)), f.pow(3), unit.compose(Z6 * 2),
+        (Z6 + Z6 * Z6).revert(), TPS.zero(6).exp(), TPS.one(6).log(),
+    ]
+    for result in results:
+        assert all(type(c) is F for c in result.coefficients), result
+
+
 # -- property tests -------------------------------------------------------------
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -347,3 +417,32 @@ def test_prop_coefficients_stay_canonical(f, g):
         assert isinstance(c, F)
         assert c.denominator > 0
         assert math.gcd(c.numerator, c.denominator) == 1
+
+
+wide_fractions = st.one_of(
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+    st.integers(-10**20, 10**20).map(lambda n: F(n, MERSENNE_61)),
+)
+wide_tails = st.lists(wide_fractions, min_size=0, max_size=10)
+
+
+@settings(max_examples=60)
+@given(wide_tails, wide_tails, wide_fractions, wide_fractions)
+def test_prop_mul_matches_fraction_reference(f_tail, g_tail, f0, g0):
+    f, g = TPS([f0] + f_tail), TPS([g0] + g_tail)
+    assert (f * g).coefficients == fraction_mul(f, g).coefficients
+
+
+@settings(max_examples=60)
+@given(wide_tails)
+def test_prop_exp_log_match_fraction_references(tail):
+    nilpotent, unit = TPS([F(0)] + tail), TPS([F(1)] + tail)
+    assert nilpotent.exp().coefficients == fraction_exp(nilpotent).coefficients
+    assert unit.log().coefficients == fraction_log(unit).coefficients
+
+
+@settings(max_examples=40)
+@given(wide_fractions.filter(lambda c: c != 0), st.lists(wide_fractions, max_size=7))
+def test_prop_revert_matches_undetermined_reference(linear, tail):
+    f = TPS([F(0), linear] + tail)
+    assert f.revert().coefficients == undetermined_revert(f).coefficients
