@@ -1,9 +1,9 @@
 """Exact Segre numbers of tautological bundles on Hilbert schemes of surfaces.
 
 Three independent constructions of the same numbers, all in exact
-rational arithmetic: the closed K3 formula, a recursion pinned down by
-vanishing constraints, and the Lehn generating function expanded via
-compositional reversion.  The package cross-validates the routes
+rational arithmetic: the closed K3 formula, four universal series pinned
+down by vanishing constraints, and the Lehn generating function expanded
+via compositional reversion.  The package cross-validates the routes
 against each other; the `hilbsegre` command exposes everything from the
 shell.
 """

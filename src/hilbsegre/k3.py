@@ -12,12 +12,13 @@ recursion in the genus direction,
     s(k, g) = sum_{l=0..k} b_l * s(k-l, g-1),
 
 whose kernel b_l is the sequence of abelian-surface Segre numbers for a
-principal polarization.  Together with the two vanishings
-s(k, 2k) = s(k, 2k-1) = 0 for k >= 2, the recursion pins down b_k and
-the genus-one column s(k, 1) by induction on k; `determine_b_s1`
-implements that determination without ever consulting the closed
-formula, so the two routes stay independent and can be tested against
-each other.
+principal polarization: the genus-g series is b(z)^(g-1) s_1(z).  In
+the engine's terms b = A^2 and s_1 = B^24, so the two vanishings
+s(k, 2k) = s(k, 2k-1) = 0 for k >= 2 that fix A and B also pin down b
+and the genus-one column s(k, 1); `determine_b_s1` reads them from the
+engine's solve, which never consults the closed formula, so the
+recursion and the closed formula stay independent and can be tested
+against each other.
 
 `determine_b_prime` recovers the same kernel a third way: for fixed k
 the closed values g -> s(k, g) form a polynomial of degree k, so the
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import ExactRational, _grown_by_prefix, _scaled
+from .series import ExactRational, _exp_of_combination, _scaled
+from .universal import _universal_logs
 
 __all__ = [
     "BSequences",
@@ -70,40 +72,20 @@ def closed_segre(k: int, g: int) -> ExactRational:
 class BSequences:
     """Sequences determined by the recursion and its vanishings.
 
-    `b` is the abelian kernel, `s1` the genus-one column, and `b_prime`
-    (optional) the kernel recovered by polynomial interpolation.  The
-    seeds b_0 = 1, b_1 = 2, s1_0 = 1, s1_1 = 0 are checked on creation.
+    `b` is the abelian kernel and `s1` the genus-one column.  The seeds
+    b_0 = 1, b_1 = 2, s1_0 = 1, s1_1 = 0 are checked on creation.
     """
 
     b: tuple[ExactRational, ...]
     s1: tuple[ExactRational, ...]
-    b_prime: tuple[ExactRational, ...] | None = None
 
     def __post_init__(self):
         if len(self.b) != len(self.s1):
             raise ValueError("b and s1 must be filled to the same index")
-        for name, seq, seeds in (
-            ("b", self.b, (1, 2)),
-            ("s1", self.s1, (1, 0)),
-            ("b_prime", self.b_prime, (1, 2)),
-        ):
-            if seq is None:
-                continue
+        for name, seq, seeds in (("b", self.b, (1, 2)), ("s1", self.s1, (1, 0))):
             for i, expected in enumerate(seeds):
                 if len(seq) > i and seq[i] != expected:
                     raise ValueError(f"{name}[{i}] must be {expected}, got {seq[i]}")
-
-
-def _grow_rows(rows: list[list[int]], b: list[int], gmax: int) -> list[list[int]]:
-    """Extend every row of an integer recursion table to genus gmax, in place.
-
-    Row l at genus g reads rows 0 .. l at genus g - 1, so the rows are
-    grown in ascending order.
-    """
-    for l, row in enumerate(rows):
-        for g in range(len(row) + 1, gmax + 1):
-            row.append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
-    return rows
 
 
 def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
@@ -121,49 +103,27 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
     if len(seqs.b) <= K:
         raise ValueError("b-sequence too short")
     nums, den = _scaled(seqs.b[: K + 1] + seqs.s1[: K + 1])
-    rows = _grow_rows([[s] for s in nums[K + 1 :]], nums[: K + 1], G)
+    b, rows = nums[: K + 1], [[s] for s in nums[K + 1 :]]
+    for l, row in enumerate(rows):  # row l at genus g reads rows 0 .. l at genus g - 1
+        for g in range(2, G + 1):
+            row.append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
     return [[Fraction(t, den**g) for g, t in enumerate(row, 1)] for row in rows]
 
 
 def determine_b_s1(K: int) -> BSequences:
     """Determine b and the genus-one column up to index K.
 
-    Induction on k: with everything below k known, telescoping the
-    recursion from genus 1 upward expresses s(k, 2k) and s(k, 2k - 1)
-    as affine functions of the two unknowns (s(k, 1), b_k) whose linear
-    part is unimodular, and the two vanishings make the system square.
-    The seeds are integers, so every b_k and s(k, 1) is one too, and the
-    induction runs over `int`.
-
-    One recursion table serves the whole induction.  Step k appends row
-    k - 1, which starts from the just-determined s(k - 1, 1), and grows
-    every row by the genera 2k - 2 and 2k - 1, so the determination
-    costs O(K^3).  Both sequences are prefix-stable, so the largest
-    determination so far is kept and a smaller K reads its prefix.
+    The genus-g K3 series is A^(2g - 2) B^24 in the engine's terms, so
+    b = A^2 = exp(2 log A) and s1 = B^24 = exp(24 log B), read from the
+    logs that the K3 vanishings s(k, 2k) = s(k, 2k - 1) = 0 determine.
+    Those logs are kept at the largest order requested so far, and a
+    smaller K reads their prefix.
     """
     if K < 0:
         raise ValueError("sequence length must be non-negative")
-    b, s1 = _b_s1(K)
+    log_a, _, _, log_b = _universal_logs(K)
+    b, s1 = (_exp_of_combination([term], K).coefficients for term in ((2, log_a), (24, log_b)))
     return BSequences(b=b, s1=s1)
-
-
-@_grown_by_prefix
-def _b_s1(K: int) -> tuple[tuple[Fraction, ...], ...]:
-    b = [1, 2][: K + 1]
-    s1 = [1, 0][: K + 1]
-    rows = [[s1[0]]]
-    for k in range(2, K + 1):
-        rows.append([s1[k - 1]])
-        _grow_rows(rows, b, 2 * k - 1)
-
-        def m(g: int) -> int:
-            return sum(b[l] * rows[k - l][g - 2] for l in range(1, k))
-
-        bk = -m(2 * k)
-        s1k = -sum(m(g) for g in range(2, 2 * k)) - (2 * k - 2) * bk
-        b.append(bk)
-        s1.append(s1k)
-    return tuple(map(Fraction, b)), tuple(map(Fraction, s1))
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:

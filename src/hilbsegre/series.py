@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Union
 
@@ -239,19 +239,23 @@ class TruncatedPowerSeries:
         """Exponential of a series with zero constant term.
 
         The recursion n E_n = sum_{j<=n} j f_j E_{n-j} (from E' = f' E)
-        runs over integers: with f_j = F_j / D, the scaled coefficients
+        runs over integers: with j f_j = G_j / D over the least common
+        denominator D of the j f_j, the scaled coefficients
         e_n = D^n n! E_n satisfy e_n = sum_j C(n-1, j-1) c_j e_{n-j},
-        where c_j = j! D^(j-1) F_j.
+        where c_j = (j-1)! D^(j-1) G_j.  For a log, j f_j often has a
+        far smaller denominator than f_j, which keeps e_n short.
         """
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
         f, den = _scaled(self._coefficients)
+        g = [j * x for j, x in enumerate(f)]  # j f_j = g_j / den
+        common = gcd(den, *g)
+        den //= common
         c = []  # c_1 .. c_N
-        weight = 1  # j! D^(j-1)
+        weight = 1  # (j-1)! D^(j-1)
         for j in range(1, len(f)):
-            weight *= j
-            c.append(weight * f[j])
-            weight *= den
+            c.append(weight * (g[j] // common))
+            weight *= j * den
         e = [1]
         out = [Fraction(1)]
         binomials = [1]  # C(n-1, j-1) for j = 1..n

@@ -10,35 +10,31 @@ the multiplicative shape
 
     s(z) = A(z)^d * B(z)^e * C(z)^pi * D(z)^kappa
 
-for fixed unit series A, B, C, D.  A and B come from the two families
-with pi = kappa = 0: the square root of the abelian series (d = 2 case)
-and the 24th root of the genus-one K3 series (d = 0, e = 24 case).
+for fixed unit series A, B, C, D.  Evaluation is log-linear: s =
+exp(d log A + e log B + pi log C + kappa log D), one exp of a linear
+combination of four cached logs.
 
-C and D are determined order by order from the two vanishing families
-on a blown-up K3, the tuples (7(k-1), k-1, -1, 25) and
-(7(k-1)+1, k, -1, 25) where the k-th Segre number is zero.
+The logs come from one probe-and-solve on two vanishing families.  The
+z^k coefficient of exp(L) is L_k plus a polynomial in lower ones, so
+probing two targets with the two unknown k-th log coefficients set to 0
+yields a 2 x 2 affine system for them:
 
-Evaluation is log-linear: s = exp(d log A + e log B + pi log C +
-kappa log D), one linear combination of four cached logs and one exp.
-The probe-and-solve runs in the same coordinates: the z^k coefficient
-of exp(L) is L_k plus a polynomial in lower coefficients, so probing
-both targets with log C_k = log D_k = 0 yields two affine equations
+- the K3 family (2g - 2, 0, 0, 24) with s(k, 2k) = s(k, 2k - 1) = 0
+  fixes log A_k and log B_k (determinant 48);
+- the blown-up K3 tuples (7(k-1), k-1, -1, 25) and (7(k-1)+1, k, -1, 25)
+  of `blowup_targets(k)` fix log C_k and log D_k (determinant 1).
 
-    0 = (k-1) log C_k - log D_k + nu,      0 = k log C_k - log D_k + nu',
-
-whose linear part has determinant 1, so log C_k = nu - nu' and
-log D_k = (k-1) log C_k + nu exactly.  C and D are exponentiated once
-at the end.
+The solve starts from the seed log A = z + O(z^2), the other logs being
+O(z^2), and its logs are kept at the largest order requested so far.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .k3 import determine_b_s1
-from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
+from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
 
 __all__ = [
     "BlowupTarget",
@@ -67,7 +63,8 @@ class SurfaceInvariants:
 
     def __post_init__(self):
         for name in ("d", "pi", "kappa", "e"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"invariant {name} must be an integer")
 
     def __add__(self, other: "SurfaceInvariants") -> "SurfaceInvariants":
@@ -84,7 +81,9 @@ class SurfaceInvariants:
 class UniversalSeriesSet:
     """The determined unit series A, B, C, D at a common order.
 
-    Their logs are computed on first use and cached per instance.
+    A set from `universal_series_set` carries the logs it was
+    exponentiated from; any other set takes its logs on first use and
+    caches them per instance.
     """
 
     A: TruncatedPowerSeries
@@ -150,14 +149,49 @@ def blowup_targets(k: int) -> tuple[BlowupTarget, BlowupTarget]:
     return tuple(targets)
 
 
+def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:  # genera 2k and 2k - 1
+    return (4 * k - 2, 0, 0, 24), (4 * k - 4, 0, 0, 24)
+
+
+def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(t.invariants.as_tuple() for t in blowup_targets(k))
+
+
+def _probe_and_solve(logs, slots: tuple[int, int], vanishings, N: int) -> None:
+    """Solve the k-th coefficients of two logs from two vanishings, k = 2 .. N.
+
+    Fills logs[i][k] and logs[j][k], for (i, j) = `slots`, so that
+    exp(sum of weight * log) has z^k coefficient 0 at both weight tuples
+    of `vanishings(k)`.  `logs` holds log A, log C, log D, log B, the
+    order of `SurfaceInvariants.as_tuple`; the unknown entries must start
+    at 0, so each probe reads the constant part nu of its equation.
+    """
+    i, j = slots
+    for k in range(2, N + 1):
+        w, v = vanishings(k)
+        nu, nu_v = (_exp_of_combination(zip(t, logs), k)[k] for t in (w, v))
+        det = w[i] * v[j] - w[j] * v[i]
+        logs[i][k] = (w[j] * nu_v - v[j] * nu) / det
+        logs[j][k] = (v[i] * nu - w[i] * nu_v) / det
+
+
+@_grown_by_prefix
+def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
+    """log A, log C, log D, log B to order N from the seeds and both families."""
+    logs = [[Fraction(0)] * (N + 1) for _ in range(4)]
+    if N >= 1:
+        logs[0][1] = Fraction(1)
+    _probe_and_solve(logs, (0, 3), _k3_vanishings, N)
+    _probe_and_solve(logs, (1, 2), _blowup_vanishings, N)
+    return tuple(map(tuple, logs))
+
+
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
-    """A and B to order N from the two pi = kappa = 0 families."""
+    """A and B to order N from the K3 vanishings s(k, 2k) = s(k, 2k - 1) = 0."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    seqs = determine_b_s1(N)
-    log_abelian = TruncatedPowerSeries(seqs.b).log()
-    log_genus_one = TruncatedPowerSeries(seqs.s1).log()
-    return (log_abelian * Fraction(1, 2)).exp(), (log_genus_one * Fraction(1, 24)).exp()
+    log_a, _, _, log_b = _universal_logs(N)
+    return TruncatedPowerSeries(log_a).exp(), TruncatedPowerSeries(log_b).exp()
 
 
 def determine_CD(
@@ -166,27 +200,24 @@ def determine_CD(
     """C and D to order N by probe-and-solve against the blow-up targets."""
     if A.order < N or B.order < N:
         raise ValueError("A and B must be determined to order >= N")
-    log_a = A.truncate(N).log().coefficients
-    log_b = B.truncate(N).log().coefficients
-    log_c = [Fraction(0)] * (N + 1)
-    log_d = [Fraction(0)] * (N + 1)
-    logs = (log_a, log_c, log_d, log_b)  # weights come in as_tuple order
-    for k in range(2, N + 1):
-        nu, nu_prime = (
-            _exp_of_combination(zip(t.invariants.as_tuple(), logs), k)[k]
-            for t in blowup_targets(k)
-        )
-        log_c[k] = nu - nu_prime
-        log_d[k] = (k - 1) * log_c[k] + nu
+    log_c, log_d = ([Fraction(0)] * (N + 1) for _ in "CD")
+    logs = (A.truncate(N).log().coefficients, log_c, log_d, B.truncate(N).log().coefficients)
+    _probe_and_solve(logs, (1, 2), _blowup_vanishings, N)
     return TruncatedPowerSeries(log_c).exp(), TruncatedPowerSeries(log_d).exp()
 
 
-@lru_cache(maxsize=None)
 def universal_series_set(N: int) -> UniversalSeriesSet:
-    """Determine and cache the full series set at truncation order N."""
-    A, B = determine_AB(N)
-    C, D = determine_CD(N, A, B)
-    return UniversalSeriesSet(A, B, C, D)
+    """The series set at truncation order N, exponentiated from the cached logs.
+
+    exp and log are exact inverses, so the set is handed those logs.
+    """
+    if N < 0:
+        raise ValueError("order must be non-negative")
+    logs = _universal_logs(N)
+    A, C, D, B = (TruncatedPowerSeries(log).exp() for log in logs)
+    U = UniversalSeriesSet(A, B, C, D)
+    vars(U)["_logs"] = logs
+    return U
 
 
 def segre_series(

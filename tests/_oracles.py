@@ -3,10 +3,11 @@
 Everything here recomputes values by a route different from the one
 under test: order-by-order undetermined coefficients instead of the
 Lagrange formula, the Taylor sum instead of the exp recursion, finite
-differences instead of binomial algebra.  The product, exp and log
-references run their recurrences directly over `Fraction`, reducing
-after every operation, where the kernel clears denominators and runs
-over integers.
+differences instead of binomial algebra, and the K3 recursion table
+instead of the engine's log-coordinate solve for b and s(k, 1).  The
+product, exp and log references run their recurrences directly over
+`Fraction`, reducing after every operation, where the kernel clears
+denominators and runs over integers.
 """
 
 from __future__ import annotations
@@ -75,6 +76,34 @@ def exp_by_taylor_sum(g: TruncatedPowerSeries) -> TruncatedPowerSeries:
         term = term * g / n
         total = total + term
     return total
+
+
+def b_s1_by_table_induction(K: int) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """b and s(k, 1) to index K by induction on k over the K3 recursion table.
+
+    With everything below k known, telescoping s(k, g) = sum_l b_l
+    s(k - l, g - 1) from genus 1 upward makes s(k, 2k) and s(k, 2k - 1)
+    affine in the unknowns s(k, 1) and b_k with a unimodular linear part,
+    and the two vanishings solve them.  The seeds are integers, so the
+    whole table is too.
+    """
+    b = [1, 2][: K + 1]
+    s1 = [1, 0][: K + 1]
+    rows = [[s1[0]]]  # rows[l][g - 1] = s(l, g)
+    for k in range(2, K + 1):
+        rows.append([s1[k - 1]])
+        for l, row in enumerate(rows):  # grow every row to genus 2k - 1
+            while len(row) < 2 * k - 1:
+                g = len(row) + 1
+                row.append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
+
+        def known(g: int) -> int:  # s(k, g) - s(k, g - 1) without its b_k term
+            return sum(b[l] * rows[k - l][g - 2] for l in range(1, k))
+
+        b_k = -known(2 * k)
+        s1.append(-sum(known(g) for g in range(2, 2 * k)) - (2 * k - 2) * b_k)
+        b.append(b_k)
+    return tuple(map(Fraction, b)), tuple(map(Fraction, s1))
 
 
 def finite_differences(values: list[Fraction], times: int) -> list[Fraction]:

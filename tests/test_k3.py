@@ -24,7 +24,7 @@ from hilbsegre import (
     recursion_table,
 )
 
-from tests._oracles import finite_differences
+from tests._oracles import b_s1_by_table_induction, finite_differences
 
 B_PREFIX = (F(1), F(2), F(-8), F(56), F(-480))
 S1_PREFIX = (F(1), F(0), F(12), F(-160), F(2016))
@@ -118,6 +118,13 @@ def test_s1_matches_closed_genus_one():
     seqs = determine_b_s1(10)
     for k in range(11):
         assert seqs.s1[k] == closed_segre(k, 1)
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 5, 17, 40])
+def test_b_s1_equal_the_table_induction(K):
+    seqs = determine_b_s1(K)
+    assert (seqs.b, seqs.s1) == b_s1_by_table_induction(K)
+    assert all(type(value) is F for value in (*seqs.b, *seqs.s1))
 
 
 def test_bsequences_validates_seeds():

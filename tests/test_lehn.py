@@ -89,15 +89,14 @@ def test_substitution_roundtrip():
 
 
 def test_lower_order_reads_prefix_of_larger_build():
-    from hilbsegre import TruncatedPowerSeries, determine_b_s1
-    from hilbsegre.k3 import _b_s1
+    from hilbsegre import TruncatedPowerSeries
     from hilbsegre.lehn import _log_factors, _substitution
+    from hilbsegre.universal import _universal_logs
 
     change_of_variable(12)
     _log_factors(12)
-    determine_b_s1(12)
-    seqs = determine_b_s1(6)
-    assert (seqs.b, seqs.s1) == _b_s1.__wrapped__(6)
+    _universal_logs(12)
+    assert _universal_logs(6) == _universal_logs.__wrapped__(6)
     fresh_zw, fresh_wz = _substitution.__wrapped__(6)
     zw, wz = change_of_variable(6)
     assert (zw.order, wz.order) == (6, 6)

@@ -79,3 +79,8 @@ def test_changed_series_are_not_served_cached_logs():
     ):
         assert segre_series(inv, 2, changed)[2] == before + inv.kappa
     assert segre_series(inv, 2, U)[2] == before
+
+
+def test_series_set_carries_the_logs_of_its_series():
+    U = universal_series_set(12)
+    assert U._logs == tuple(s.log().coefficients for s in (U.A, U.C, U.D, U.B))

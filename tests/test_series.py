@@ -309,6 +309,21 @@ def test_integer_kernels_match_fraction_references(seed):
             assert kernel.coefficients == reference.coefficients, (seed, order)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_exp_scaling_matches_fraction_reference(seed):
+    # exp scales by the denominators of j f_j: f_j = p / (j q) loses the
+    # factor j there (and q = 1 makes every j f_j integral), while a
+    # prime q above the order keeps every j f_j at denominator q
+    rng = random.Random(seed)
+    for order in (1, 2, 7, 16):
+        q = rng.choice((1, 2, 12, MERSENNE_61))
+        reducing = TPS([0] + [F(rng.randint(-50, 50), j * q) for j in range(1, order + 1)])
+        plain = TPS([0] + [F(rng.choice((-1, 1)) * rng.randint(1, 16), 17) for _ in range(order)])
+        assert all((j * plain[j]).denominator == 17 for j in range(1, order + 1))
+        for f in (reducing, plain):
+            assert f.exp().coefficients == fraction_exp(f).coefficients, (seed, order)
+
+
 def test_integer_kernels_on_edge_series():
     zero = TPS.zero(5)
     f = _seeded_series(random.Random(7), 5, F(-1, MERSENNE_61))

@@ -14,6 +14,7 @@ from math import factorial
 
 import pytest
 
+import hilbsegre
 from hilbsegre import (
     SurfaceInvariants,
     TruncatedPowerSeries,
@@ -22,8 +23,11 @@ from hilbsegre import (
     closed_segre,
     determine_AB,
     determine_b_s1,
+    k3,
+    lehn,
     segre_number,
     segre_series,
+    universal,
     universal_series_set,
 )
 
@@ -44,6 +48,13 @@ def test_invariants_accept_arbitrary_integers():
 def test_invariants_reject_non_integers():
     with pytest.raises(TypeError):
         SurfaceInvariants(F(1, 2), 0, 0, 0)
+
+
+def test_invariants_reject_booleans():
+    # bool is a subclass of int, so it needs its own refusal
+    for args in ((True, 0, 0, 0), (0, 0, 0, False)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            SurfaceInvariants(*args)
 
 
 def test_invariants_addition_is_componentwise():
@@ -91,9 +102,32 @@ def test_series_set_validates_normalization():
         UniversalSeriesSet(bad_linear, good, good, good)
 
 
-def test_series_set_cached_per_order():
-    assert universal_series_set(8) is U8
-    assert universal_series_set(6) is not U8
+def test_series_set_reads_prefix_of_larger_build():
+    universal_series_set(12)
+    U6 = universal_series_set(6)
+    fresh = universal._universal_logs.__wrapped__(6)
+    assert U6.order == 6
+    assert U6._logs == fresh
+    A, C, D, B = (TruncatedPowerSeries(log).exp().coefficients for log in fresh)
+    assert (U6.A.coefficients, U6.B.coefficients, U6.C.coefficients, U6.D.coefficients) == (A, B, C, D)
+
+
+def test_solver_reads_no_other_route(monkeypatch):
+    solve = universal._universal_logs.__wrapped__
+    expected_logs, expected_seqs = solve(16), determine_b_s1(16)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the vanishing solver consulted another route")
+
+    for module in (hilbsegre, k3, lehn, universal):
+        for name in ("closed_segre", "determine_b_prime", "lehn_series"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(k3, "_universal_logs", solve)  # no cached prefix to read
+    with pytest.raises(RuntimeError):
+        k3.closed_segre(2, 3)
+    assert solve(16) == expected_logs
+    assert determine_b_s1(16) == expected_seqs
 
 
 # -- generating series ----------------------------------------------------------------
