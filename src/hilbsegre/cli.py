@@ -38,8 +38,8 @@ ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
 #: The largest --k, --order, --max-order, --max-k or SEGRE_DEFAULT_ORDER
 #: accepted: the largest power of two at which every command ends within
 #: a minute.  The dearest one at order N, `verify --max-order N --max-k N`,
-#: took 8.8 s at N = 40, 14 s at 48 and 45 s at 64 on a 2-vCPU machine;
-#: the fit t ~ N^3.5 puts N = 80 at about 90 s and N = 96 at 3 minutes.
+#: took 3.6 s at N = 48, 10 s at 64, 29 s at 96 and 101 s at 128 on a
+#: 2-vCPU machine.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

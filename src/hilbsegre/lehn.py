@@ -82,9 +82,7 @@ def change_of_variable(
 @_grown_by_prefix
 def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     w = TruncatedPowerSeries.identity(N)
-    numerator = w * (1 - w) * (1 - 2 * w).pow(4)
-    denominator = (1 - 6 * w + 6 * w * w).pow(3)
-    zw = numerator / denominator
+    zw = w * (1 - w) * (1 - 2 * w).pow(4) * (1 - 6 * w + 6 * w * w).pow(-3)
     return zw.coefficients, zw.revert().coefficients
 
 

@@ -5,9 +5,17 @@ under test: order-by-order undetermined coefficients instead of the
 Lagrange formula, the Taylor sum instead of the exp recursion, finite
 differences instead of binomial algebra, and the K3 recursion table
 instead of the engine's log-coordinate solve for b and s(k, 1).  The
-product, exp and log references run their recurrences directly over
-`Fraction`, reducing after every operation, where the kernel clears
-denominators and runs over integers.
+product, exp, log, power and division references run their recurrences
+directly over `Fraction`, reducing after every operation, where the
+kernel clears denominators and runs over integers:
+
+- `fraction_mul`: the Cauchy product;
+- `fraction_exp` and `fraction_log`: the recurrences from E' = f' E and
+  f L' = f';
+- `fraction_pow`: the one-pass power recurrence, where the kernel takes
+  exp(alpha log f);
+- `fraction_div`: long division, where the kernel multiplies by the
+  inverse power of the divisor.
 """
 
 from __future__ import annotations
@@ -40,6 +48,50 @@ def fraction_log(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
         convolution = sum((j * out[j] * f[m - j] for j in range(1, m)), Fraction(0))
         out.append(f[m] - convolution / m)
     return TruncatedPowerSeries(out)
+
+
+def fraction_pow(f: TruncatedPowerSeries, exponent) -> TruncatedPowerSeries:
+    """f^alpha by n f0 g_n = sum_{k=1..n} ((alpha + 1) k - n) f_k g_{n-k} over Fraction.
+
+    The recurrence comes from f g' = alpha f' g (Knuth, TAOCP vol. 2,
+    4.7).  A non-negative integer power takes any base: the valuation v
+    is shifted out first, f^n = z^(n v) h^n with h0 != 0.  Any other
+    exponent needs f0 = 1.
+    """
+    alpha = Fraction(exponent)
+    coeffs = f.coefficients
+    shift = 0
+    if alpha.denominator == 1 and alpha >= 0:
+        n = alpha.numerator
+        if n == 0:
+            return TruncatedPowerSeries.one(f.order)
+        v = next((i for i, c in enumerate(coeffs) if c), None)
+        if v is None or n * v > f.order:
+            return TruncatedPowerSeries.zero(f.order)
+        shift, coeffs = n * v, coeffs[v:]
+        g = [coeffs[0] ** n]
+    elif coeffs[0] != 1:
+        raise ValueError("rational power of non-unit series")
+    else:
+        g = [Fraction(1)]
+    p, q = alpha.numerator, alpha.denominator  # integer weights q((alpha + 1) k - n)
+    for m in range(1, f.order - shift + 1):
+        total = sum(((p + q) * k - q * m) * coeffs[k] * g[m - k] for k in range(1, m + 1))
+        g.append(total / (q * m * coeffs[0]))
+    return TruncatedPowerSeries([Fraction(0)] * shift + g)
+
+
+def fraction_div(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """f / g for g0 != 0 by long division over Fraction, to the smaller order."""
+    if g[0] == 0:
+        raise ValueError("non-unit divisor")
+    q: list[Fraction] = []
+    for k in range(min(f.order, g.order) + 1):
+        acc = f[k]
+        for i in range(k):
+            acc -= q[i] * g[k - i]
+        q.append(acc / g[0])
+    return TruncatedPowerSeries(q)
 
 
 def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:

@@ -27,6 +27,7 @@ from hilbsegre import (
     universal_series_set,
     verify_lehn_vanishings,
 )
+from hilbsegre.cli import MAX_ORDER
 from hilbsegre.lehn import s5_transcription_probe
 
 U8 = universal_series_set(8)
@@ -171,11 +172,11 @@ REACH_GRID = [
 ]
 
 
-def test_routes_agree_and_k_factorial_sk_is_integral_at_order_30():
-    U30 = universal_series_set(30)
+def test_routes_agree_and_k_factorial_sk_is_integral_at_max_order():
+    U = universal_series_set(MAX_ORDER)
     for inv in REACH_GRID:
-        engine = segre_series(inv, 30, U30)
-        assert engine.coefficients == lehn_series(inv, 30).coefficients, inv
+        engine = segre_series(inv, MAX_ORDER, U)
+        assert engine.coefficients == lehn_series(inv, MAX_ORDER).coefficients, inv
         for k, value in enumerate(engine.coefficients):
             assert (factorial(k) * value).denominator == 1, (inv, k)
 
@@ -197,10 +198,11 @@ def test_vanishing_report_k2_and_k5():
     assert report[(5, (29, 5, -1, 25))] == 0
 
 
-def test_vanishing_report_is_all_zero_to_k20():
-    report = verify_lehn_vanishings(20)
+def test_vanishing_report_is_all_zero_to_max_order():
+    report = verify_lehn_vanishings(MAX_ORDER)
+    assert len(report) == 2 * (MAX_ORDER - 1)
     assert [(k, inv) for k, inv, _ in report] == [
-        (k, target.invariants) for k in range(2, 21) for target in blowup_targets(k)
+        (k, target.invariants) for k in range(2, MAX_ORDER + 1) for target in blowup_targets(k)
     ]
     assert all(c == 0 for _, _, c in report)
 

@@ -2,9 +2,9 @@
 
 Both routes evaluate a tuple as one exp of a linear combination of
 cached logs.  These tests rebuild the same series the direct way, from
-the public pow, mul and compose, and require exact equality; they also
-check that a universal series set never evaluates with another set's
-logs.
+the `Fraction` power recurrence of `tests._oracles.fraction_pow`, the
+series product and compose, and require exact equality; they also check
+that a universal series set never evaluates with another set's logs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from hilbsegre import (
     segre_series,
     universal_series_set,
 )
+
+from tests._oracles import fraction_pow
 
 N = 12
 EXTREME_TUPLES = (
@@ -52,7 +54,10 @@ def test_sample_covers_large_negative_and_non_integral_exponents():
 def test_engine_equals_product_of_powers():
     U = universal_series_set(N)
     for inv in seeded_tuples():
-        product = U.A.pow(inv.d) * U.B.pow(inv.e) * U.C.pow(inv.pi) * U.D.pow(inv.kappa)
+        product = (
+            fraction_pow(U.A, inv.d) * fraction_pow(U.B, inv.e)
+            * fraction_pow(U.C, inv.pi) * fraction_pow(U.D, inv.kappa)
+        )
         assert segre_series(inv, N, U).coefficients == product.coefficients, inv
 
 
@@ -61,7 +66,10 @@ def test_lehn_equals_closed_form_composed_with_w_of_z():
     _, w_of_z = change_of_variable(N)
     for inv in seeded_tuples():
         exps = lehn_exponents(inv)
-        f_in_w = (1 - w).pow(exps.a) * (1 - 2 * w).pow(exps.b) * (1 - 6 * w + 6 * w * w).pow(-exps.c)
+        f_in_w = (
+            fraction_pow(1 - w, exps.a) * fraction_pow(1 - 2 * w, exps.b)
+            * fraction_pow(1 - 6 * w + 6 * w * w, -exps.c)
+        )
         assert lehn_series(inv, N).coefficients == f_in_w.compose(w_of_z).coefficients, inv
 
 

@@ -21,9 +21,11 @@ from hilbsegre import (
 
 from tests._oracles import (
     exp_by_taylor_sum,
+    fraction_div,
     fraction_exp,
     fraction_log,
     fraction_mul,
+    fraction_pow,
     undetermined_revert,
 )
 
@@ -72,6 +74,16 @@ def test_rational_wire_format_roundtrip():
     assert format_rational(F(6, 3)) == "2"
     with pytest.raises(ValueError):
         parse_rational("0.5")
+
+
+def test_parse_rational_edge_cases():
+    accepted = {"+3": F(3), "-3/4": F(-3, 4), " 7/2 ": F(7, 2), "\t-0\n": F(0), "6/4": F(3, 2)}
+    for text, value in accepted.items():
+        assert parse_rational(text) == value, text
+    # "٣" is ARABIC-INDIC DIGIT THREE, which a Unicode \d would accept
+    for text in ("1 / 2", "0.5", "1e3", "1/0", "-0/0", "٣", "", "--1", "1/-2", "1_000", "3/", "/3"):
+        with pytest.raises(ValueError, match="not an exact rational literal"):
+            parse_rational(text)
 
 
 def test_doctests():
@@ -181,7 +193,7 @@ def test_pow_matches_repeated_products():
             assert base.pow(n).coefficients == product.coefficients, (base, n)
             product = product * base
     unit = series(1, F(-2, 3), 4, order=7)
-    assert unit.pow(-3).coefficients == (TPS.one(7) / (unit * unit * unit)).coefficients
+    assert unit.pow(-3).coefficients == fraction_div(TPS.one(7), unit * unit * unit).coefficients
     assert TPS.zero(4).pow(3).coefficients == TPS.zero(4).coefficients
 
 
@@ -324,6 +336,29 @@ def test_exp_scaling_matches_fraction_reference(seed):
             assert f.exp().coefficients == fraction_exp(f).coefficients, (seed, order)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_pow_and_div_match_fraction_references(seed):
+    rng = random.Random(100 + seed)
+    for order in (0, 1, 2, 5, 9, 14):
+        unit = _seeded_series(rng, order, F(1))
+        f = _seeded_series(rng, order, F(rng.randint(-9, 9), rng.choice((1, MERSENNE_61))))
+        lead = F(rng.choice((-7, -1, 2, 5)), rng.choice((1, 3, MERSENNE_61)))
+        g = _seeded_series(rng, order + rng.randint(0, 3), lead)  # mixed orders
+        pairs = [(f / g, fraction_div(f, g)), (g / unit, fraction_div(g, unit))]
+        pairs.append((1 / g, fraction_div(TPS.one(g.order), g)))
+        for alpha in (F(1, 2), F(-3), F(2, 3), F(-7, 5), F(rng.randint(-9, 9), rng.choice((1, 2, 7)))):
+            pairs.append((unit.pow(alpha), fraction_pow(unit, alpha)))
+        for valuation in (0, 1, 2):  # z^v times a series with a non-unit constant term
+            base = TPS([F(0)] * valuation + list(g.coefficients), order=order)
+            for n in (0, 1, 2, 3, 5):
+                pairs.append((base.pow(n), fraction_pow(base, n)))
+        for n in (0, 1, 4):
+            pairs.append((TPS.zero(order).pow(n), fraction_pow(TPS.zero(order), n)))
+        for kernel, reference in pairs:
+            assert kernel.order == reference.order
+            assert kernel.coefficients == reference.coefficients, (seed, order)
+
+
 def test_integer_kernels_on_edge_series():
     zero = TPS.zero(5)
     f = _seeded_series(random.Random(7), 5, F(-1, MERSENNE_61))
@@ -454,6 +489,27 @@ def test_prop_exp_log_match_fraction_references(tail):
     nilpotent, unit = TPS([F(0)] + tail), TPS([F(1)] + tail)
     assert nilpotent.exp().coefficients == fraction_exp(nilpotent).coefficients
     assert unit.log().coefficients == fraction_log(unit).coefficients
+
+
+@settings(max_examples=60)
+@given(wide_tails, exponents)
+def test_prop_unit_pow_matches_fraction_reference(tail, alpha):
+    unit = TPS([F(1)] + tail)
+    assert unit.pow(alpha).coefficients == fraction_pow(unit, alpha).coefficients
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 3), wide_fractions.filter(lambda c: c != 0), wide_tails, st.integers(0, 5))
+def test_prop_integer_pow_matches_fraction_reference(valuation, lead, tail, n):
+    base = TPS([F(0)] * valuation + [lead] + tail)
+    assert base.pow(n).coefficients == fraction_pow(base, n).coefficients
+
+
+@settings(max_examples=60)
+@given(wide_tails, wide_tails, wide_fractions, wide_fractions.filter(lambda c: c != 0))
+def test_prop_div_matches_fraction_reference(f_tail, g_tail, f0, g0):
+    f, g = TPS([f0] + f_tail), TPS([g0] + g_tail)
+    assert (f / g).coefficients == fraction_div(f, g).coefficients
 
 
 @settings(max_examples=40)
