@@ -144,6 +144,32 @@ def lehn_vanishing(U, order: int, max_k: int) -> list[Outcome]:
     return outcomes
 
 
+#: Axis and pair probes used to localize a mistyped monomial group when
+#: the published polynomial and the engine ever disagree.
+_S5_PROBES = (
+    (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0),
+    (0, 1, 0, 0), (0, 2, 0, 0),
+    (0, 0, 1, 0), (0, 0, 2, 0),
+    (0, 0, 0, 1), (0, 0, 0, 2),
+    (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
+    (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1),
+)
+
+
+def s5_transcription_probe(U) -> list[tuple[universal.SurfaceInvariants, Fraction]]:
+    """120 * (polynomial - engine) on axis/pair tuples.
+
+    A nonzero entry at a pure-axis probe implicates the monomials in
+    that single variable; a pair probe implicates the mixed terms.
+    """
+    deltas = []
+    for raw in _S5_PROBES:
+        inv = universal.SurfaceInvariants(*raw)
+        delta = 120 * (lehn.eval_s5_polynomial(inv) - universal.segre_number(inv, 5, U))
+        deltas.append((inv, delta))
+    return deltas
+
+
 def s5_polynomial(U, order: int, max_k: int) -> list[Outcome]:
     """The published s_5 polynomial vanishes at the k = 5 targets and matches the engine.
 
@@ -168,7 +194,7 @@ def s5_polynomial(U, order: int, max_k: int) -> list[Outcome]:
                 f"  transcription discrepancy at {_fmt(inv)}: "
                 f"polynomial {fmt(polynomial)} vs engine {fmt(engine)}"
             )
-            for probe, delta in lehn.s5_transcription_probe(U):
+            for probe, delta in s5_transcription_probe(U):
                 if delta != 0:
                     details.append(f"  probe {_fmt(probe)}: 120*(polynomial-engine) = {delta}")
             break

@@ -8,9 +8,10 @@ Subcommands:
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings, never as decimals.  The
-default truncation order is 8 and can be overridden with the
-SEGRE_DEFAULT_ORDER environment variable or per-command flags; no
-order, k or max-k may exceed MAX_ORDER.  Exit codes: 0 success,
+default truncation order of `series` and `verify` is 8 and can be
+overridden with the SEGRE_DEFAULT_ORDER environment variable or their
+--order and --max-order flags; `number` and `lehn` evaluate at order
+--k.  No order, k or max-k may exceed MAX_ORDER.  Exit codes: 0 success,
 1 verification failure, 2 usage error (an order above MAX_ORDER
 included) or an `--output` path that cannot be written, which is found
 before any work starts.
@@ -31,7 +32,7 @@ from .checks import REGISTRY
 from .k3 import closed_segre
 from .lehn import lehn_series
 from .series import TruncatedPowerSeries, format_rational
-from .universal import SurfaceInvariants, segre_series, universal_series_set
+from .universal import UNIT_TUPLES, SurfaceInvariants, segre_series, universal_series_set
 
 DEFAULT_ORDER = 8
 ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
@@ -42,13 +43,6 @@ ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
 #: 2-vCPU machine.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
-
-_SERIES_TUPLES = {
-    "A": SurfaceInvariants(1, 0, 0, 0),
-    "B": SurfaceInvariants(0, 0, 0, 1),
-    "C": SurfaceInvariants(0, 1, 0, 0),
-    "D": SurfaceInvariants(0, 0, 1, 0),
-}
 
 
 def _default_order() -> int:
@@ -132,9 +126,7 @@ def _closed_applicable(inv: SurfaceInvariants) -> bool:
 
 def cmd_number(args: argparse.Namespace) -> int:
     inv = _invariants_from(args)
-    order = max(args.k, args.order if args.order is not None else _default_order())
-    U = universal_series_set(order)
-    series = segre_series(inv, order, U)
+    series = segre_series(inv, args.k, universal_series_set(args.k))
     records = []
     if args.all_routes and _closed_applicable(inv):
         g = inv.d // 2 + 1
@@ -150,24 +142,17 @@ def cmd_number(args: argparse.Namespace) -> int:
 
 def cmd_series(args: argparse.Namespace) -> int:
     order = args.order if args.order is not None else _default_order()
-    if args.which in _SERIES_TUPLES:
-        inv = _SERIES_TUPLES[args.which]
-        U = universal_series_set(order)
-        series = getattr(U, args.which)
-        route = "engine"
+    unit = args.which in UNIT_TUPLES  # a unit tuple takes no tuple flags; the others need all
+    wrong = [f for f in ("d", "pi", "kappa", "e") if (getattr(args, f) is None) != unit]
+    if wrong:
+        flags = ", ".join("--" + f for f in wrong)
+        print(f"--which {args.which} {'takes no' if unit else 'requires'} {flags}", file=sys.stderr)
+        return 2
+    inv = UNIT_TUPLES[args.which] if unit else _invariants_from(args)
+    if args.which == "lehn":
+        series, route = lehn_series(inv, order), "lehn"
     else:
-        missing = [f for f in ("d", "pi", "kappa", "e") if getattr(args, f) is None]
-        if missing:
-            flags = ", ".join("--" + f for f in missing)
-            print(f"--which {args.which} requires {flags}", file=sys.stderr)
-            return 2
-        inv = _invariants_from(args)
-        if args.which == "s":
-            series = segre_series(inv, order, universal_series_set(order))
-            route = "engine"
-        else:
-            series = lehn_series(inv, order)
-            route = "lehn"
+        series, route = segre_series(inv, order, universal_series_set(order)), "engine"
     records = [
         OutputRecord(inv, k, series[k], route) for k in range(series.order + 1)
     ]
@@ -238,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_number = sub.add_parser("number", help="one Segre number for a tuple")
     _add_tuple_flags(p_number, required=True)
     p_number.add_argument("--k", type=_nonnegative, required=True)
-    p_number.add_argument("--order", type=_nonnegative, default=None,
-                          help="minimum truncation order for the engine")
     p_number.add_argument("--all-routes", action="store_true",
                           help="also print the closed (when applicable) and lehn values")
     _add_format_flags(p_number)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import ExactRational, _exp_of_combination, _scaled
+from .series import ExactRational, _convolve, _exp_of_combination, _scaled
 from .universal import _universal_logs
 
 __all__ = [
@@ -94,7 +94,7 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
     Row l at genus g sits at rows[l][g - 1]; one table answers every
     (k, g) inside it, at O(K^2 G) for the whole table.  The table is
     grown over integers: with b and s1 written over one denominator D,
-    D^g s(l, g) is an integer combination of D^(g-1) s(l - j, g - 1).
+    each genus column of D^g s(l, g) is b convolved with the previous one.
     """
     if G < 1:
         raise ValueError("recursion route is defined for g >= 1 only")
@@ -103,11 +103,10 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
     if len(seqs.b) <= K:
         raise ValueError("b-sequence too short")
     nums, den = _scaled(seqs.b[: K + 1] + seqs.s1[: K + 1])
-    b, rows = nums[: K + 1], [[s] for s in nums[K + 1 :]]
-    for l, row in enumerate(rows):  # row l at genus g reads rows 0 .. l at genus g - 1
-        for g in range(2, G + 1):
-            row.append(sum(b[j] * rows[l - j][g - 2] for j in range(l + 1)))
-    return [[Fraction(t, den**g) for g, t in enumerate(row, 1)] for row in rows]
+    b, columns = nums[: K + 1], [nums[K + 1 :]]
+    for _ in range(G - 1):
+        columns.append(_convolve(b, columns[-1], K))
+    return [[Fraction(t, den**g) for g, t in enumerate(row, 1)] for row in zip(*columns)]
 
 
 def determine_b_s1(K: int) -> BSequences:

@@ -20,9 +20,9 @@ The substitution has a unit linear coefficient, so expanding f in z to
 order N needs exactly the w-expansion to order N and one compositional
 reversion w(z).  Every tuple is then log-linear, f = exp(a l1 + b l2 -
 c l3), where l1, l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6w + 6w^2 at
-w = w(z): no powers and no composition per tuple.  The substitution
-and the logs are built once, at the largest order requested so far, and
-a lower order reads their prefix.
+w = w(z): no powers and no composition per tuple.  One cache holds the
+substitution, its reversion and the three logs; it is built once, at
+the largest order requested so far, and a lower order reads its prefix.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
-from .universal import SurfaceInvariants, UniversalSeriesSet, blowup_targets, segre_number
+from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
 __all__ = [
     "LehnExponents",
@@ -43,7 +43,6 @@ __all__ = [
     "extract_lehn_universal",
     "lehn_exponents",
     "lehn_series",
-    "s5_transcription_probe",
     "verify_lehn_vanishings",
 ]
 
@@ -75,23 +74,23 @@ def change_of_variable(
     """The substitution z(w) expanded to order N, and its reversion w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
-    zw, wz = _substitution(N)
+    zw, wz = _substitution(N)[:2]
     return TruncatedPowerSeries(zw), TruncatedPowerSeries(wz)
+
+
+def _factors(w: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, ...]:
+    """1 - w, 1 - 2w and 1 - 6w + 6w^2: the three factors of the closed form."""
+    return 1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w
 
 
 @_grown_by_prefix
 def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
+    """z(w), w(z), and l1, l2, l3: the logs of the three factors at w = w(z)."""
     w = TruncatedPowerSeries.identity(N)
-    zw = w * (1 - w) * (1 - 2 * w).pow(4) * (1 - 6 * w + 6 * w * w).pow(-3)
-    return zw.coefficients, zw.revert().coefficients
-
-
-@_grown_by_prefix
-def _log_factors(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """l1, l2, l3: the logs of the three closed-form factors at w = w(z)."""
-    _, w = change_of_variable(N)
-    factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
-    return tuple(f.log().coefficients for f in factors)
+    f1, f2, f3 = _factors(w)
+    zw = w * f1 * f2.pow(4) * f3.pow(-3)
+    wz = zw.revert()
+    return (zw.coefficients, wz.coefficients, *(f.log().coefficients for f in _factors(wz)))
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
@@ -101,22 +100,16 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     if N == 0:
         return TruncatedPowerSeries.one(0)
     exps = lehn_exponents(inv)
-    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _log_factors(N)), N)
+    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:]), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:
     """The four universal series read off the multiplicative form.
 
-    Evaluating the Lehn function at the unit tuples isolates one factor
-    at a time: (1,0,0,0) gives A, (0,0,0,1) gives B, (0,1,0,0) gives C
-    and (0,0,1,0) gives D.
+    Evaluating the Lehn function at each of `UNIT_TUPLES` isolates one
+    factor at a time.
     """
-    return UniversalSeriesSet(
-        A=lehn_series(SurfaceInvariants(1, 0, 0, 0), N),
-        B=lehn_series(SurfaceInvariants(0, 0, 0, 1), N),
-        C=lehn_series(SurfaceInvariants(0, 1, 0, 0), N),
-        D=lehn_series(SurfaceInvariants(0, 0, 1, 0), N),
-    )
+    return UniversalSeriesSet(**{name: lehn_series(inv, N) for name, inv in UNIT_TUPLES.items()})
 
 
 def verify_lehn_vanishings(
@@ -130,7 +123,7 @@ def verify_lehn_vanishings(
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
-    _log_factors(max_k)  # one build; every lower order reads its prefix
+    _substitution(max_k)  # one build; every lower order reads its prefix
     report = []
     for k in range(2, max_k + 1):
         for target in blowup_targets(k):
@@ -175,31 +168,3 @@ def eval_s5_polynomial(inv: SurfaceInvariants) -> ExactRational:
         - 9600 * p**2
     )
     return Fraction(value, 120)
-
-
-#: Axis and pair probes used to localize a mistyped monomial group when
-#: the published polynomial and the engine ever disagree.
-_S5_PROBES = (
-    (1, 0, 0, 0), (2, 0, 0, 0), (3, 0, 0, 0),
-    (0, 1, 0, 0), (0, 2, 0, 0),
-    (0, 0, 1, 0), (0, 0, 2, 0),
-    (0, 0, 0, 1), (0, 0, 0, 2),
-    (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
-    (0, 1, 1, 0), (0, 1, 0, 1), (0, 0, 1, 1),
-)
-
-
-def s5_transcription_probe(
-    U: UniversalSeriesSet,
-) -> list[tuple[SurfaceInvariants, ExactRational]]:
-    """120 * (polynomial - engine) on axis/pair tuples.
-
-    A nonzero entry at a pure-axis probe implicates the monomials in
-    that single variable; a pair probe implicates the mixed terms.
-    """
-    deltas = []
-    for raw in _S5_PROBES:
-        inv = SurfaceInvariants(*raw)
-        delta = 120 * (eval_s5_polynomial(inv) - segre_number(inv, 5, U))
-        deltas.append((inv, delta))
-    return deltas

@@ -26,6 +26,8 @@ yields a 2 x 2 affine system for them:
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2), and its logs are kept at the largest order requested so far.
+`determine_AB(N)` and `determine_CD(N)` are views of the set that
+`universal_series_set(N)` exponentiates from them, not solves of their own.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _g
 __all__ = [
     "BlowupTarget",
     "SurfaceInvariants",
+    "UNIT_TUPLES",
     "UniversalSeriesSet",
     "blowup_targets",
     "determine_AB",
@@ -69,12 +72,24 @@ class SurfaceInvariants:
 
     def __add__(self, other: "SurfaceInvariants") -> "SurfaceInvariants":
         """Componentwise sum: the invariants of a disjoint union."""
+        if not isinstance(other, SurfaceInvariants):
+            return NotImplemented
         return SurfaceInvariants(
             self.d + other.d, self.pi + other.pi, self.kappa + other.kappa, self.e + other.e
         )
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d, self.pi, self.kappa, self.e)
+
+
+#: The tuple at which A^d B^e C^pi D^kappa is one series alone.  The key
+#: order is the log layout: log A, log C, log D, log B, as in `as_tuple`.
+UNIT_TUPLES = {
+    "A": SurfaceInvariants(1, 0, 0, 0),
+    "C": SurfaceInvariants(0, 1, 0, 0),
+    "D": SurfaceInvariants(0, 0, 1, 0),
+    "B": SurfaceInvariants(0, 0, 0, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -111,8 +126,8 @@ class UniversalSeriesSet:
 
     @cached_property
     def _logs(self) -> tuple[tuple[Fraction, ...], ...]:
-        """log A, log C, log D, log B: the order of `SurfaceInvariants.as_tuple`."""
-        return tuple(s.log().coefficients for s in (self.A, self.C, self.D, self.B))
+        """The logs of the series in the order of `UNIT_TUPLES`."""
+        return tuple(getattr(self, name).log().coefficients for name in UNIT_TUPLES)
 
 
 @dataclass(frozen=True)
@@ -162,9 +177,9 @@ def _probe_and_solve(logs, slots: tuple[int, int], vanishings, N: int) -> None:
 
     Fills logs[i][k] and logs[j][k], for (i, j) = `slots`, so that
     exp(sum of weight * log) has z^k coefficient 0 at both weight tuples
-    of `vanishings(k)`.  `logs` holds log A, log C, log D, log B, the
-    order of `SurfaceInvariants.as_tuple`; the unknown entries must start
-    at 0, so each probe reads the constant part nu of its equation.
+    of `vanishings(k)`.  `logs` holds the logs in the order of `UNIT_TUPLES`;
+    the unknown entries must start at 0, so each probe reads the constant
+    part nu of its equation.
     """
     i, j = slots
     for k in range(2, N + 1):
@@ -187,23 +202,15 @@ def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
-    """A and B to order N from the K3 vanishings s(k, 2k) = s(k, 2k - 1) = 0."""
-    if N < 0:
-        raise ValueError("order must be non-negative")
-    log_a, _, _, log_b = _universal_logs(N)
-    return TruncatedPowerSeries(log_a).exp(), TruncatedPowerSeries(log_b).exp()
+    """A and B to order N, fixed by the K3 vanishings: a view of `universal_series_set(N)`."""
+    U = universal_series_set(N)
+    return U.A, U.B
 
 
-def determine_CD(
-    N: int, A: TruncatedPowerSeries, B: TruncatedPowerSeries
-) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
-    """C and D to order N by probe-and-solve against the blow-up targets."""
-    if A.order < N or B.order < N:
-        raise ValueError("A and B must be determined to order >= N")
-    log_c, log_d = ([Fraction(0)] * (N + 1) for _ in "CD")
-    logs = (A.truncate(N).log().coefficients, log_c, log_d, B.truncate(N).log().coefficients)
-    _probe_and_solve(logs, (1, 2), _blowup_vanishings, N)
-    return TruncatedPowerSeries(log_c).exp(), TruncatedPowerSeries(log_d).exp()
+def determine_CD(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
+    """C and D to order N, fixed by the blow-up targets: a view of `universal_series_set(N)`."""
+    U = universal_series_set(N)
+    return U.C, U.D
 
 
 def universal_series_set(N: int) -> UniversalSeriesSet:
@@ -214,8 +221,9 @@ def universal_series_set(N: int) -> UniversalSeriesSet:
     if N < 0:
         raise ValueError("order must be non-negative")
     logs = _universal_logs(N)
-    A, C, D, B = (TruncatedPowerSeries(log).exp() for log in logs)
-    U = UniversalSeriesSet(A, B, C, D)
+    U = UniversalSeriesSet(
+        **{name: TruncatedPowerSeries(log).exp() for name, log in zip(UNIT_TUPLES, logs)}
+    )
     vars(U)["_logs"] = logs
     return U
 
@@ -233,6 +241,8 @@ def segre_series(
     >>> segre_series(inv, 4, U) == U.A**-3 * U.B**5 * U.C**2 * U.D**-1
     True
     """
+    if N < 0:
+        raise ValueError("order must be non-negative")
     if N > U.order:
         raise ValueError("insufficient truncation order")
     return _exp_of_combination(zip(inv.as_tuple(), U._logs), N)

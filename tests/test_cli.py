@@ -104,6 +104,14 @@ def test_series_lehn_equals_engine(capsys):
     assert out_s == out_l
 
 
+def test_series_unit_tuple_refuses_tuple_flags(capsys):
+    code = main(["series", "--which", "A", "--d", "3", "--pi", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "--which A takes no --d, --pi\n"
+
+
 def test_series_missing_tuple_flags(capsys):
     code = main(["series", "--which", "s", "--order", "3"])
     captured = capsys.readouterr()
@@ -231,7 +239,7 @@ def _no_work(*args, **kwargs):
 TUPLE = ("--d", "2", "--pi", "0", "--kappa", "0", "--e", "0")
 ORDER_ARGV = [
     (("number", *TUPLE, "--k"), "--k"),
-    (("number", *TUPLE, "--k", "2", "--order"), "--order"),
+    (("series", "--which", "lehn", *TUPLE, "--order"), "--order"),
     (("lehn", *TUPLE, "--k"), "--k"),
     (("series", "--which", "A", "--order"), "--order"),
     (("verify", "--max-order"), "--max-order"),
@@ -279,6 +287,22 @@ def test_default_order_env_invalid(monkeypatch, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["series", "--which", "A"])
     assert excinfo.value.code == 2
+
+
+def test_number_evaluates_at_k_whatever_the_default_order(capsys, monkeypatch):
+    argv = ("number", *TUPLE, "--k", "5", "--format", "csv")
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0
+    for raw in ("3", "many", str(MAX_ORDER + 1)):
+        monkeypatch.setenv("SEGRE_DEFAULT_ORDER", raw)
+        assert run_cli(capsys, *argv) == expected
+
+
+def test_number_refuses_order(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["number", *TUPLE, "--k", "2", "--order", "8"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --order 8" in capsys.readouterr().err
 
 
 def test_usage_error_on_bad_flag():

@@ -13,6 +13,7 @@ from math import factorial
 
 import pytest
 
+import hilbsegre
 from hilbsegre import (
     SurfaceInvariants,
     blowup_targets,
@@ -20,15 +21,18 @@ from hilbsegre import (
     closed_segre,
     eval_s5_polynomial,
     extract_lehn_universal,
+    k3,
+    lehn,
     lehn_exponents,
     lehn_series,
     segre_number,
     segre_series,
+    universal,
     universal_series_set,
     verify_lehn_vanishings,
 )
+from hilbsegre.checks import s5_transcription_probe
 from hilbsegre.cli import MAX_ORDER
-from hilbsegre.lehn import s5_transcription_probe
 
 U8 = universal_series_set(8)
 
@@ -91,20 +95,52 @@ def test_substitution_roundtrip():
 
 def test_lower_order_reads_prefix_of_larger_build():
     from hilbsegre import TruncatedPowerSeries
-    from hilbsegre.lehn import _log_factors, _substitution
+    from hilbsegre.lehn import _substitution
     from hilbsegre.universal import _universal_logs
 
-    change_of_variable(12)
-    _log_factors(12)
+    _substitution(12)
     _universal_logs(12)
     assert _universal_logs(6) == _universal_logs.__wrapped__(6)
-    fresh_zw, fresh_wz = _substitution.__wrapped__(6)
+    fresh = _substitution.__wrapped__(6)
+    assert _substitution(6) == fresh
     zw, wz = change_of_variable(6)
     assert (zw.order, wz.order) == (6, 6)
-    assert (zw.coefficients, wz.coefficients) == (fresh_zw, fresh_wz)
-    w = TruncatedPowerSeries(fresh_wz)
+    assert (zw.coefficients, wz.coefficients) == fresh[:2]
+    w = TruncatedPowerSeries(fresh[1])
     fresh_logs = tuple(f.log().coefficients for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w))
-    assert _log_factors(6) == fresh_logs
+    assert fresh[2:] == fresh_logs
+
+
+def test_lehn_route_reads_no_engine(monkeypatch):
+    build = lehn._substitution.__wrapped__
+    inv = SurfaceInvariants(3, -1, 2, 13)
+
+    def extracted():
+        return [getattr(extract_lehn_universal(6), n).coefficients for n in "ABCD"]
+
+    expected = (
+        lehn._substitution(8),
+        lehn_series(inv, 8).coefficients,
+        verify_lehn_vanishings(6),
+        extracted(),
+    )
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the Lehn route consulted the engine")
+
+    engine = ("universal_series_set", "segre_series", "segre_number", "_universal_logs", "closed_segre")
+    assert not any(hasattr(lehn, name) for name in engine)
+    for module in (hilbsegre, k3, lehn, universal):
+        for name in engine:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(lehn, "_substitution", build)  # no cached prefix to read
+    with pytest.raises(RuntimeError):
+        universal.universal_series_set(2)
+    assert build(8) == expected[0]
+    assert lehn_series(inv, 8).coefficients == expected[1]
+    assert verify_lehn_vanishings(6) == expected[2]
+    assert extracted() == expected[3]
 
 
 # -- the Lehn series ------------------------------------------------------------------

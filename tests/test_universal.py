@@ -22,6 +22,7 @@ from hilbsegre import (
     blowup_targets,
     closed_segre,
     determine_AB,
+    determine_CD,
     determine_b_s1,
     k3,
     lehn,
@@ -31,6 +32,7 @@ from hilbsegre import (
     universal_series_set,
 )
 from hilbsegre.cli import MAX_ORDER
+from hilbsegre.universal import UNIT_TUPLES
 
 from tests._oracles import fraction_pow
 
@@ -63,6 +65,8 @@ def test_invariants_reject_booleans():
 def test_invariants_addition_is_componentwise():
     total = SurfaceInvariants(1, 2, 3, 4) + SurfaceInvariants(10, 20, 30, 40)
     assert total == SurfaceInvariants(11, 22, 33, 44)
+    with pytest.raises(TypeError):
+        SurfaceInvariants(1, 2, 3, 4) + 5
 
 
 # -- determination of A and B ------------------------------------------------------
@@ -86,6 +90,20 @@ def test_A_squares_to_abelian_series():
 def test_B_24th_power_is_genus_one_series():
     _, B = determine_AB(8)
     assert fraction_pow(B, 24).coefficients == determine_b_s1(8).s1
+
+
+@pytest.mark.parametrize("N", (0, 1, 12))
+def test_stage_functions_are_views_of_the_series_set(N):
+    U = universal_series_set(N)
+    views = (*determine_AB(N), *determine_CD(N))
+    assert [s.coefficients for s in views] == [getattr(U, name).coefficients for name in "ABCD"]
+
+
+def test_unit_tuples_follow_the_log_layout_and_isolate_each_series():
+    for i, inv in enumerate(UNIT_TUPLES.values()):
+        assert inv.as_tuple() == tuple(int(j == i) for j in range(4))
+    for name, inv in UNIT_TUPLES.items():
+        assert segre_series(inv, 8, U8).coefficients == getattr(U8, name).coefficients, name
 
 
 def test_CD_hand_values():
@@ -199,6 +217,20 @@ def test_k_factorial_times_sk_is_integer():
         for k in range(6):
             value = factorial(k) * segre_number(inv, k, U8)
             assert value.denominator == 1, (inv, k)
+
+
+def test_negative_order_rejected():
+    inv = SurfaceInvariants(2, 0, 0, 0)
+    calls = (
+        lambda: segre_series(inv, -1, U8),
+        lambda: segre_number(inv, -1, U8),
+        lambda: universal_series_set(-1),
+        lambda: determine_AB(-1),
+        lambda: determine_CD(-1),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            call()
 
 
 def test_insufficient_order_rejected():
