@@ -39,8 +39,8 @@ ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
 #: The largest --k, --order, --max-order, --max-k or SEGRE_DEFAULT_ORDER
 #: accepted: the largest power of two at which every command ends within
 #: a minute.  The dearest one at order N, `verify --max-order N --max-k N`,
-#: took 3.6 s at N = 48, 10 s at 64, 29 s at 96 and 101 s at 128 on a
-#: 2-vCPU machine.
+#: took 7.0 s at N = 48, 20 s at 64, 57 s at 96 and 208 s at 128 on a
+#: 2-vCPU machine; its kernel-roundtrips check sets the pace at 128.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

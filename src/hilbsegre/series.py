@@ -16,11 +16,12 @@ powers, composition and compositional reversion, which together are
 enough to expand algebraic generating functions exactly.  Only the
 product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
-power of the divisor) and composition are built from them.  exp scales
-by the denominators of j f_j, which for the log of a generic rational
-series grow like lcm(1..N), so a power of such a series costs more than
-a direct recurrence would at high order (at N = 128, about 1.5x on the
-seeded round trips); the program itself never goes past order 64.
+power of the divisor) and composition are built from them.  The exp
+kernel `_exp_numerators` also serves the engine's vanishing solve.  It
+scales by the denominators of j f_j, which for the log of a generic
+rational series grow like lcm(1..N), so a power of such a series costs
+more than a direct recurrence would at high order (at N = 128, about
+1.5x on the seeded round trips); the CLI never goes past order 64.
 """
 
 from __future__ import annotations
@@ -240,36 +241,12 @@ class TruncatedPowerSeries:
     # -- transcendental operations ----------------------------------------
 
     def exp(self) -> "TruncatedPowerSeries":
-        """Exponential of a series with zero constant term.
-
-        The recursion n E_n = sum_{j<=n} j f_j E_{n-j} (from E' = f' E)
-        runs over integers: with j f_j = G_j / D over the least common
-        denominator D of the j f_j, the scaled coefficients
-        e_n = D^n n! E_n satisfy e_n = sum_j C(n-1, j-1) c_j e_{n-j},
-        where c_j = (j-1)! D^(j-1) G_j.  For a log, j f_j often has a
-        far smaller denominator than f_j, which keeps e_n short.
-        """
+        """Exponential of a series with zero constant term, by `_exp_numerators`."""
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
         f, den = _scaled(self._coefficients)
-        g = [j * x for j, x in enumerate(f)]  # j f_j = g_j / den
-        common = gcd(den, *g)
-        den //= common
-        c = []  # c_1 .. c_N
-        weight = 1  # (j-1)! D^(j-1)
-        for j in range(1, len(f)):
-            c.append(weight * (g[j] // common))
-            weight *= j * den
-        e = [1]
-        out = [Fraction(1)]
-        binomials = [1]  # C(n-1, j-1) for j = 1..n
-        scale = 1  # D^n n!
-        for n in range(1, len(f)):
-            e.append(sum(map(mul, map(mul, binomials, c), reversed(e))))
-            scale *= den * n
-            out.append(Fraction(e[n], scale))
-            binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
-        return TruncatedPowerSeries(out)
+        e, scales = _exp_numerators([j * x for j, x in enumerate(f)], den)
+        return TruncatedPowerSeries(map(Fraction, e, scales))
 
     def log(self) -> "TruncatedPowerSeries":
         """Logarithm of a series with constant term exactly 1.
@@ -376,6 +353,30 @@ def _scaled(coeffs) -> tuple[list[int], int]:
 def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
     """Coefficients 0 .. n of the product of two integer sequences."""
     return [sum(map(mul, f[: k + 1], g[k::-1])) for k in range(n + 1)]
+
+
+def _exp_numerators(g: list[int], den: int) -> tuple[list[int], list[int]]:
+    """exp(f) as E_n = e[n] / scales[n], for f0 = 0 and j f_j = g[j] / den.
+
+    From E' = f' E, e_n = D^n n! E_n = sum_j C(n-1, j-1) c_j e_{n-j} over the
+    integers c_j = (j-1)! D^(j-1) j f_j, D the reduced den.  A log's j f_j has
+    a far smaller denominator than its f_j, which keeps e_n short.
+    """
+    common = gcd(den, *g)
+    den //= common
+    c = []  # c_1 .. c_N
+    weight = 1  # (j-1)! D^(j-1)
+    for j in range(1, len(g)):
+        c.append(weight * (g[j] // common))
+        weight *= j * den
+    e = [1]
+    scales = [1]  # D^n n!
+    binomials = [1]  # C(n-1, j-1) for j = 1..n
+    for n in range(1, len(g)):
+        e.append(sum(map(mul, map(mul, binomials, c), reversed(e))))
+        scales.append(scales[-1] * den * n)
+        binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
+    return e, scales
 
 
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:

@@ -26,6 +26,7 @@ yields a 2 x 2 affine system for them:
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2), and its logs are kept at the largest order requested so far.
+It runs on integer numerators of j log_j and the exp kernel of `series`.
 `determine_AB(N)` and `determine_CD(N)` are views of the set that
 `universal_series_set(N)` exponentiates from them, not solves of their own.
 """
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
+from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_of_combination
+from .series import _grown_by_prefix
 
 __all__ = [
     "BlowupTarget",
@@ -124,6 +126,11 @@ class UniversalSeriesSet:
     def order(self) -> int:
         return self.A.order
 
+    def __eq__(self, other) -> bool:  # a series' own == ignores the order
+        if not isinstance(other, UniversalSeriesSet):
+            return NotImplemented
+        return all(getattr(self, n).coefficients == getattr(other, n).coefficients for n in "ABCD")
+
     @cached_property
     def _logs(self) -> tuple[tuple[Fraction, ...], ...]:
         """The logs of the series in the order of `UNIT_TUPLES`."""
@@ -172,33 +179,46 @@ def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t.invariants.as_tuple() for t in blowup_targets(k))
 
 
-def _probe_and_solve(logs, slots: tuple[int, int], vanishings, N: int) -> None:
+def _probe(G, den: int, weights, k: int) -> Fraction:
+    """The z^k coefficient of exp(sum of weight * log): integer dot products, the integer exp."""
+    terms = [(t, row) for t, row in zip(weights, G) if t]
+    e, scales = _exp_numerators([sum(t * row[n] for t, row in terms) for n in range(k + 1)], den)
+    return Fraction(e[k], scales[k])
+
+
+def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) -> int:
     """Solve the k-th coefficients of two logs from two vanishings, k = 2 .. N.
 
-    Fills logs[i][k] and logs[j][k], for (i, j) = `slots`, so that
-    exp(sum of weight * log) has z^k coefficient 0 at both weight tuples
-    of `vanishings(k)`.  `logs` holds the logs in the order of `UNIT_TUPLES`;
-    the unknown entries must start at 0, so each probe reads the constant
-    part nu of its equation.
+    G[i][j] / den is j log_j, for log i in the order of `UNIT_TUPLES`.
+    Fills G[i][k] and G[j][k], (i, j) = `slots`, so that exp(sum of
+    weight * log) has z^k coefficient 0 at both tuples of `vanishings(k)`.
+    The unknown entries start at 0, so a probe reads the constant part nu
+    of its equation.  Returns den, grown with all of G where a value needs it.
     """
     i, j = slots
     for k in range(2, N + 1):
         w, v = vanishings(k)
-        nu, nu_v = (_exp_of_combination(zip(t, logs), k)[k] for t in (w, v))
+        nu, nu_v = _probe(G, den, w, k), _probe(G, den, v, k)
         det = w[i] * v[j] - w[j] * v[i]
-        logs[i][k] = (w[j] * nu_v - v[j] * nu) / det
-        logs[j][k] = (v[i] * nu - w[i] * nu_v) / det
+        solved = {i: (w[j] * nu_v - v[j] * nu) / det, j: (v[i] * nu - w[i] * nu_v) / det}
+        for slot, log_k in solved.items():
+            growth = (k * den * log_k).denominator
+            if growth != 1:
+                den *= growth
+                G[:] = [[x * growth for x in row] for row in G]
+            G[slot][k] = (k * den * log_k).numerator
+    return den
 
 
 @_grown_by_prefix
 def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
     """log A, log C, log D, log B to order N from the seeds and both families."""
-    logs = [[Fraction(0)] * (N + 1) for _ in range(4)]
+    G = [[0] * (N + 1) for _ in range(4)]
     if N >= 1:
-        logs[0][1] = Fraction(1)
-    _probe_and_solve(logs, (0, 3), _k3_vanishings, N)
-    _probe_and_solve(logs, (1, 2), _blowup_vanishings, N)
-    return tuple(map(tuple, logs))
+        G[0][1] = 1  # log A = z + O(z^2)
+    den = _probe_and_solve(G, 1, (0, 3), _k3_vanishings, N)
+    den = _probe_and_solve(G, den, (1, 2), _blowup_vanishings, N)
+    return tuple(tuple(Fraction(x, (n or 1) * den) for n, x in enumerate(row)) for row in G)
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:

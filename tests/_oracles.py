@@ -15,7 +15,10 @@ kernel clears denominators and runs over integers:
 - `fraction_pow`: the one-pass power recurrence, where the kernel takes
   exp(alpha log f);
 - `fraction_div`: long division, where the kernel multiplies by the
-  inverse power of the divisor.
+  inverse power of the divisor;
+- `fraction_probe_and_solve`: the engine's vanishing solve on `Fraction`
+  logs with `fraction_exp` probes, where the engine keeps integer
+  numerators of j log_j and calls the integer exp kernel.
 """
 
 from __future__ import annotations
@@ -92,6 +95,27 @@ def fraction_div(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedP
             acc -= q[i] * g[k - i]
         q.append(acc / g[0])
     return TruncatedPowerSeries(q)
+
+
+def fraction_probe_and_solve(logs, slots, vanishings, N: int) -> None:
+    """Fill logs[i][k], logs[j][k] for (i, j) = `slots`, k = 2 .. N, over Fraction.
+
+    Each probe is `fraction_exp` of the weighted sum of the logs, with the
+    two unknown k-th coefficients still 0, so its z^k coefficient nu is
+    the constant part of an affine equation; the two vanishings of
+    `vanishings(k)` give a 2 x 2 system, solved by Cramer's rule.
+    """
+    i, j = slots
+    for k in range(2, N + 1):
+        w, v = vanishings(k)
+        probes = []
+        for weights in (w, v):
+            combination = [sum(t * log[n] for t, log in zip(weights, logs)) for n in range(k + 1)]
+            probes.append(fraction_exp(TruncatedPowerSeries(combination))[k])
+        nu, nu_v = probes
+        det = w[i] * v[j] - w[j] * v[i]
+        logs[i][k] = (w[j] * nu_v - v[j] * nu) / det
+        logs[j][k] = (v[i] * nu - w[i] * nu_v) / det
 
 
 def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:

@@ -116,3 +116,12 @@ def test_criterion_09_degenerate_k_trivial_family():
 def test_criterion_10_kernel_property_suite():
     with _Timer("10 kernel-properties", 10.0):
         _passes(checks.kernel_roundtrips, None, 12, 0)
+
+
+def test_criterion_11_k3_family_reach_at_order_128():
+    with _Timer("11 k3-reach-128", 6.0):
+        U = universal_series_set(128)
+        for g in (1, 5, 40):
+            series = segre_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), 128, U)
+            for k in range(129):
+                assert series[k] == closed_segre(k, g), (k, g)

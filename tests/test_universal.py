@@ -24,6 +24,7 @@ from hilbsegre import (
     determine_AB,
     determine_CD,
     determine_b_s1,
+    extract_lehn_universal,
     k3,
     lehn,
     segre_number,
@@ -34,7 +35,7 @@ from hilbsegre import (
 from hilbsegre.cli import MAX_ORDER
 from hilbsegre.universal import UNIT_TUPLES
 
-from tests._oracles import fraction_pow
+from tests._oracles import fraction_pow, fraction_probe_and_solve
 
 A_PREFIX = (F(1), F(1), F(-9, 2), F(65, 2), F(-2261, 8))
 B_PREFIX = (F(1), F(0), F(1, 2), F(-20, 3), F(649, 8))
@@ -131,6 +132,48 @@ def test_series_set_reads_prefix_of_larger_build():
     assert U6._logs == fresh
     A, C, D, B = (TruncatedPowerSeries(log).exp().coefficients for log in fresh)
     assert (U6.A.coefficients, U6.B.coefficients, U6.C.coefficients, U6.D.coefficients) == (A, B, C, D)
+
+
+def _oracle_logs(N: int) -> tuple[tuple[F, ...], ...]:
+    """The four logs from the seed and both families, solved over Fraction."""
+    logs = [[F(0)] * (N + 1) for _ in range(4)]
+    if N >= 1:
+        logs[0][1] = F(1)
+    fraction_probe_and_solve(logs, (0, 3), universal._k3_vanishings, N)
+    fraction_probe_and_solve(logs, (1, 2), universal._blowup_vanishings, N)
+    return tuple(map(tuple, logs))
+
+
+@pytest.mark.parametrize("N", (0, 1, 2, 3, 12, 32))
+def test_integer_solve_equals_fraction_solve(N):
+    logs = universal._universal_logs.__wrapped__(N)
+    expected = _oracle_logs(N)
+    assert len(logs) == 4
+    for name, log, reference in zip(UNIT_TUPLES, logs, expected):
+        assert log == reference, name
+        assert all(type(c) is F for c in log), name
+
+
+def test_integer_solve_grows_the_shared_denominator():
+    # j log_j stays integral for both real families; this one needs denominators
+    N = 6  # den grows to 60480
+    family = lambda k: ((1, 0, 0, k), (k, 0, 0, 1))  # determinant 1 - k^2
+    G = [[0] * (N + 1) for _ in range(4)]
+    G[0][1] = 1
+    den = universal._probe_and_solve(G, 1, (0, 3), family, N)
+    assert den > 1
+    assert all(type(x) is int for row in G for x in row)
+    logs = [[F(0)] * (N + 1) for _ in range(4)]
+    logs[0][1] = F(1)
+    fraction_probe_and_solve(logs, (0, 3), family, N)
+    assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
+
+
+def test_series_set_equality_compares_the_order():
+    assert universal_series_set(2) != universal_series_set(12)
+    assert universal_series_set(12) != universal_series_set(2)
+    assert extract_lehn_universal(8) == universal_series_set(8)
+    assert U8 != U8.A
 
 
 def test_solver_reads_no_other_route(monkeypatch):
