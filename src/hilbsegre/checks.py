@@ -112,8 +112,12 @@ def pascal_identity(U, order: int, max_k: int):
 
 @_single("b-vs-bprime")
 def b_vs_bprime(U, order: int, max_k: int):
-    """The recursion's kernel b equals the interpolated b' to index max_k."""
-    pairs = itertools.zip_longest(k3.determine_b_s1(max_k).b, k3.determine_b_prime(max_k))
+    """The recursion's kernel b equals the certified quotient b' to index max_k."""
+    try:
+        b_prime = k3.determine_b_prime(max_k)
+    except ArithmeticError as failed_certificate:
+        return str(failed_certificate)
+    pairs = itertools.zip_longest(k3.determine_b_s1(max_k).b, b_prime)
     for l, (x, y) in enumerate(pairs):
         if x != y:
             return f"index {l}: b={x} vs b'={y}"

@@ -20,10 +20,12 @@ engine's solve, which never consults the closed formula, so the
 recursion and the closed formula stay independent and can be tested
 against each other.
 
-`determine_b_prime` recovers the same kernel a third way: for fixed k
-the closed values g -> s(k, g) form a polynomial of degree k, so the
-convolution identity is a finite linear system once evaluated at k + 1
-distinct genera.
+`determine_b_prime` recovers the same kernel a third way, from the
+closed formula alone: the closed genus-g series S_g(z) = sum_k s(k, g) z^k
+satisfies S_g = b S_(g-1), so b' is the quotient S_1 / S_0.  Each
+coefficient of b' S_(g-1) - S_g is a polynomial of degree at most k in
+g, so checking the product at the K + 1 genera 1 .. K + 1 certifies the
+identity for every g.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .series import ExactRational, _convolve, _exp_of_combination, _scaled
+from .series import ExactRational, TruncatedPowerSeries
 from .universal import _universal_logs
 
 __all__ = [
@@ -92,9 +94,9 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
     """Rows s(l, g) for 0 <= l <= K, 1 <= g <= G by iterating the convolution.
 
     Row l at genus g sits at rows[l][g - 1]; one table answers every
-    (k, g) inside it, at O(K^2 G) for the whole table.  The table is
-    grown over integers: with b and s1 written over one denominator D,
-    each genus column of D^g s(l, g) is b convolved with the previous one.
+    (k, g) inside it, at O(K^2 G) for the whole table.  Genus column g
+    is the series s(0, g) + s(1, g) z + ..., and each next column is the
+    series product of b with the previous one.
     """
     if G < 1:
         raise ValueError("recursion route is defined for g >= 1 only")
@@ -102,11 +104,11 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
         raise ValueError("k must be non-negative")
     if len(seqs.b) <= K:
         raise ValueError("b-sequence too short")
-    nums, den = _scaled(seqs.b[: K + 1] + seqs.s1[: K + 1])
-    b, columns = nums[: K + 1], [nums[K + 1 :]]
+    b = TruncatedPowerSeries(seqs.b[: K + 1])
+    columns = [TruncatedPowerSeries(seqs.s1[: K + 1])]
     for _ in range(G - 1):
-        columns.append(_convolve(b, columns[-1], K))
-    return [[Fraction(t, den**g) for g, t in enumerate(row, 1)] for row in zip(*columns)]
+        columns.append(b * columns[-1])
+    return [list(row) for row in zip(*columns)]
 
 
 def determine_b_s1(K: int) -> BSequences:
@@ -120,9 +122,8 @@ def determine_b_s1(K: int) -> BSequences:
     """
     if K < 0:
         raise ValueError("sequence length must be non-negative")
-    log_a, _, _, log_b = _universal_logs(K)
-    b, s1 = (_exp_of_combination([term], K).coefficients for term in ((2, log_a), (24, log_b)))
-    return BSequences(b=b, s1=s1)
+    log_a, _, _, log_b = (TruncatedPowerSeries(log) for log in _universal_logs(K))
+    return BSequences(b=(log_a * 2).exp().coefficients, s1=(log_b * 24).exp().coefficients)
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:
@@ -130,49 +131,19 @@ def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:
     return recursion_table(k, g, seqs)[k][g - 1]
 
 
-def _solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Fraction; the matrix must be nonsingular."""
-    n = len(matrix)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] / m[col][col]
-                for j in range(col, n + 1):
-                    m[r][j] -= factor * m[col][j]
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        x[i] = (m[i][n] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
-    return x
-
-
 def determine_b_prime(K: int) -> tuple[ExactRational, ...]:
     """Recover the convolution kernel from the closed formula alone.
 
-    For the size-K identity the closed values at genera 1 .. K give a
-    square system in b'_1 .. b'_K (the column degrees drop one by one,
-    so the matrix is a nonsingular generalized Vandermonde); the value
-    at genus K + 1 is the extra interpolation point that certifies the
-    degree-K polynomial identity holds for every g.
+    b' = S_1 / S_0 for the closed genus-g series S_g to order K, certified
+    by b' S_(g-1) = S_g at g = 1 .. K + 1: coefficient k of the identity
+    is a polynomial of degree at most k in g, so K + 1 genera prove it
+    for every g.  A failed certificate raises `ArithmeticError`.
     """
     if K < 0:
         raise ValueError("sequence length must be non-negative")
-    if K == 0:
-        return (Fraction(1),)
-    matrix = [
-        [closed_segre(K - l, g - 1) for l in range(1, K + 1)] for g in range(1, K + 1)
-    ]
-    rhs = [closed_segre(K, g) - closed_segre(K, g - 1) for g in range(1, K + 1)]
-    solution = _solve_linear(matrix, rhs)
-    b_prime = (Fraction(1), *solution)
-    g_check = K + 1
-    residual = closed_segre(K, g_check) - sum(
-        b_prime[l] * closed_segre(K - l, g_check - 1) for l in range(K + 1)
-    )
-    if residual != 0:
-        raise ArithmeticError("interpolation consistency check failed")
-    return b_prime
+    S = [TruncatedPowerSeries([closed_segre(k, g) for k in range(K + 1)]) for g in range(K + 2)]
+    b_prime = S[1] / S[0]
+    for g in range(1, K + 2):
+        if b_prime * S[g - 1] != S[g]:
+            raise ArithmeticError(f"g={g}: b' S_(g-1) != S_g")
+    return b_prime.coefficients

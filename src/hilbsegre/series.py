@@ -149,6 +149,8 @@ class TruncatedPowerSeries:
 
     def truncate(self, order: int) -> "TruncatedPowerSeries":
         """Drop coefficients above `order`; extending is not allowed."""
+        if order < 0:
+            raise ValueError("order must be non-negative")
         if order > self.order:
             raise ValueError("cannot truncate to a larger order")
         if order == self.order:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, k3, lehn
+from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn
 from hilbsegre import universal_series_set
 from tests import test_acceptance
 
@@ -55,6 +55,18 @@ def test_b_vs_bprime_catches_a_bumped_kernel_entry(monkeypatch):
         k3, "determine_b_prime", lambda K: tuple(x + (l == 4) for l, x in enumerate(b_prime(K)))
     )
     assert _single_failure(checks.b_vs_bprime, None, 0, 5).startswith("index 4: b=")
+
+
+def test_verify_reports_a_failed_b_prime_certificate(monkeypatch, capsys):
+    # a wrong closed value at (K, K + 1) fails the certificate of b' = S_1 / S_0;
+    # the check reports it, and the rest of the report still runs
+    monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 8, 9))
+    assert _single_failure(checks.b_vs_bprime, None, 0, 8).startswith("g=9: ")
+    monkeypatch.delenv(cli.ORDER_ENV_VAR, raising=False)
+    assert cli.main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "b-vs-bprime: FAIL (first counterexample: g=9: b' S_(g-1) != S_g)" in lines
+    assert lines[-1] == "verify: 11/14 checks passed"
 
 
 def test_engine_vs_lehn_grid_catches_one_wrong_lehn_series(monkeypatch):

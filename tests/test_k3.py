@@ -1,4 +1,4 @@
-"""Closed formula, recursion determination, and kernel interpolation tests.
+"""Closed formula, recursion determination, and kernel quotient tests.
 
 Frozen values below were derived by hand: the k = 2 telescoped system
 gives b_2 = -8 and s(2, 1) = 12, and continuing the same elimination
@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 from hilbsegre import (
     BSequences,
+    cli,
     closed_segre,
     determine_b_prime,
     determine_b_s1,
     generalized_binomial,
+    k3,
     recursion_segre,
     recursion_table,
 )
@@ -181,7 +183,8 @@ def test_k3_results_are_fractions():
     # cannot see a leaked int; the boundary type is checked directly
     seqs = determine_b_s1(12)
     rows = recursion_table(12, 30, seqs)
-    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row)):
+    b_prime = determine_b_prime(12)
+    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row), *b_prime):
         assert type(value) is F
 
 
@@ -197,7 +200,7 @@ def test_recursion_rejects_nonpositive_genus():
         recursion_segre(2, 0, seqs)
 
 
-# -- interpolation kernel ---------------------------------------------------------------
+# -- kernel quotient b' = S_1 / S_0 -----------------------------------------------------
 
 
 def test_b_prime_seeds():
@@ -212,16 +215,26 @@ def test_b_prime_matches_b():
     assert determine_b_prime(2)[2] == -8
 
 
-def test_b_prime_matches_b_at_16():
-    assert determine_b_s1(16).b == determine_b_prime(16)
+@pytest.mark.parametrize("K", [16, cli.MAX_ORDER])
+def test_b_prime_matches_b_at_reach(K):
+    assert determine_b_s1(K).b == determine_b_prime(K)
 
 
 def test_b_prime_stability_across_system_sizes():
-    # the size-k solve reproduces every lower-index value of the size-(k-1) solve
+    # the order-k quotient extends the order-(k-1) one
     for k in range(2, 9):
         current = determine_b_prime(k)
         previous = determine_b_prime(k - 1)
         assert current[:k] == previous
+
+
+@pytest.mark.parametrize("at, first_g", [((2, 0), 2), ((3, 1), 2), ((8, 9), 9)])
+def test_b_prime_certificate_catches_a_wrong_closed_value(monkeypatch, at, first_g):
+    # at K = 8, (8, 9) = (K, K + 1) is seen only by the last certifying genus
+    closed = k3.closed_segre
+    monkeypatch.setattr(k3, "closed_segre", lambda k, g: closed(k, g) + ((k, g) == at))
+    with pytest.raises(ArithmeticError, match=f"^g={first_g}: "):
+        determine_b_prime(8)
 
 
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=25))

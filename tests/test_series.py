@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import doctest
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,13 @@ def test_constructor_pads_and_truncates():
     assert f.coefficients == (F(1), F(2), F(0), F(0), F(0))
     g = TPS([1, 2, 3, 4], order=1)
     assert g.coefficients == (F(1), F(2))
+
+
+@pytest.mark.parametrize("order", [-1, -2])
+def test_truncate_refuses_a_negative_order(order):
+    # a negative slice bound would count from the end of the coefficients
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        TPS([1, 2, 3, 4, 5]).truncate(order)
 
 
 def test_floats_rejected():
@@ -517,3 +526,30 @@ def test_prop_div_matches_fraction_reference(f_tail, g_tail, f0, g0):
 def test_prop_revert_matches_undetermined_reference(linear, tail):
     f = TPS([F(0), linear] + tail)
     assert f.revert().coefficients == undetermined_revert(f).coefficients
+
+
+# -- the integer kernels stay private to the series module -----------------
+
+
+INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators"}
+
+
+def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_solve():
+    # outside `series`, only the engine's vanishing solve may work on the
+    # numerators-over-one-denominator format; everything else goes through
+    # the public TruncatedPowerSeries API
+    defined, used = {}, {}
+    for path in sorted(Path(hilbsegre.series.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, table = {node.name}, defined
+            elif isinstance(node, ast.ImportFrom):
+                names, table = {alias.name for alias in node.names}, used
+            elif isinstance(node, ast.Attribute):
+                names, table = {node.attr}, used
+            else:
+                continue
+            for name in names & INTEGER_KERNELS:
+                table.setdefault(name, set()).add(path.name)
+    assert defined == {name: {"series.py"} for name in INTEGER_KERNELS}
+    assert set().union(*used.values()) <= {"universal.py"}
