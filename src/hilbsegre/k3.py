@@ -15,10 +15,10 @@ whose kernel b_l is the sequence of abelian-surface Segre numbers for a
 principal polarization: the genus-g series is b(z)^(g-1) s_1(z).  In
 the engine's terms b = A^2 and s_1 = B^24, so the two vanishings
 s(k, 2k) = s(k, 2k-1) = 0 for k >= 2 that fix A and B also pin down b
-and the genus-one column s(k, 1); `determine_b_s1` reads them from the
-engine's solve, which never consults the closed formula, so the
-recursion and the closed formula stay independent and can be tested
-against each other.
+and the genus-one column s(k, 1).  `determine_b_s1` reads both as engine
+series through the public API of `universal`, whose solve never
+consults the closed formula, so the recursion and the closed formula
+stay independent and can be tested against each other.
 
 `determine_b_prime` recovers the same kernel a third way, from the
 closed formula alone: the closed genus-g series S_g(z) = sum_k s(k, g) z^k
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 
 from .series import ExactRational, TruncatedPowerSeries
-from .universal import _universal_logs
+from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 __all__ = [
     "BSequences",
@@ -114,16 +114,14 @@ def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
 def determine_b_s1(K: int) -> BSequences:
     """Determine b and the genus-one column up to index K.
 
-    The genus-g K3 series is A^(2g - 2) B^24 in the engine's terms, so
-    b = A^2 = exp(2 log A) and s1 = B^24 = exp(24 log B), read from the
-    logs that the K3 vanishings s(k, 2k) = s(k, 2k - 1) = 0 determine.
-    Those logs are kept at the largest order requested so far, and a
-    smaller K reads their prefix.
+    b is the engine series of a principally polarized abelian surface,
+    (d, pi, kappa, e) = (2, 0, 0, 0), and s1 that of a K3 surface with
+    the trivial bundle, (0, 0, 0, 24): A^2 and B^24, which the K3
+    vanishings s(k, 2k) = s(k, 2k - 1) = 0 determine.
     """
-    if K < 0:
-        raise ValueError("sequence length must be non-negative")
-    log_a, _, _, log_b = (TruncatedPowerSeries(log) for log in _universal_logs(K))
-    return BSequences(b=(log_a * 2).exp().coefficients, s1=(log_b * 24).exp().coefficients)
+    U = universal_series_set(K)
+    b, s1 = (segre_series(SurfaceInvariants(*raw), K, U) for raw in ((2, 0, 0, 0), (0, 0, 0, 24)))
+    return BSequences(b=b.coefficients, s1=s1.coefficients)
 
 
 def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:

@@ -29,6 +29,8 @@ O(z^2), and its logs are kept at the largest order requested so far.
 It runs on integer numerators of j log_j and the exp kernel of `series`.
 `determine_AB(N)` and `determine_CD(N)` are views of the set that
 `universal_series_set(N)` exponentiates from them, not solves of their own.
+The solve and its log layout are private to this module: other modules
+read the engine through `universal_series_set` and `segre_series`.
 """
 
 from __future__ import annotations
@@ -150,11 +152,6 @@ class BlowupTarget:
     invariants: SurfaceInvariants
     genus: int
     twist: int
-
-    @property
-    def section_count(self) -> int:
-        """h^0 of the twisted bundle: g + 1 - l(l+1)/2, which equals 3k - 1."""
-        return self.genus + 1 - self.twist * (self.twist + 1) // 2
 
 
 def blowup_targets(k: int) -> tuple[BlowupTarget, BlowupTarget]:

@@ -3,14 +3,22 @@
 Each control replaces one ingredient through its module attribute, so
 it also shows that the checks call the library through its modules,
 and asserts that the check fails with the expected first counterexample.
+A table adds one fault per component of the three routes, each of which
+must make a named registry check FAIL.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
 
-from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn
+import pytest
+
+from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn, universal
 from hilbsegre import universal_series_set
+from hilbsegre.universal import UNIT_TUPLES
 from tests import test_acceptance
 
 
@@ -93,11 +101,29 @@ def test_lehn_vanishing_catches_a_nonzero_coefficient(monkeypatch):
 def test_s5_polynomial_catches_a_shifted_polynomial(monkeypatch):
     polynomial = lehn.eval_s5_polynomial
     monkeypatch.setattr(lehn, "eval_s5_polynomial", lambda inv: polynomial(inv) + 1)
-    [outcome] = checks.s5_polynomial(universal_series_set(5), 5, 2)
-    assert not outcome.ok
-    assert outcome.counterexample == "nonzero at (d,pi,kappa,e)=(28,4,-1,25): 1"
-    assert outcome.notes[2].startswith("  transcription discrepancy at ")
-    assert outcome.notes[3].startswith("  probe (d,pi,kappa,e)=")
+    counterexample = _single_failure(checks.s5_polynomial, universal_series_set(5), 5, 2)
+    assert counterexample == "nonzero at (d,pi,kappa,e)=(28,4,-1,25): 1"
+
+
+def test_s5_polynomial_catches_every_fault_that_vanishes_at_the_targets(monkeypatch):
+    # (kappa + 1) m / 120 is zero at both targets (kappa = -1) for each monomial m
+    # of degree <= 4, so only the simplex can see it; on the simplex kappa + 1 > 0,
+    # so the tuples that differ are those where m is nonzero
+    polynomial, U = lehn.eval_s5_polynomial, universal_series_set(5)
+    monomials = [m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4]
+    assert len(monomials) == 70
+    for m in monomials:
+
+        def shifted(inv, m=m):
+            x = inv.as_tuple()
+            return polynomial(inv) + Fraction((inv.kappa + 1) * math.prod(map(pow, x, m)), 120)
+
+        monkeypatch.setattr(lehn, "eval_s5_polynomial", shifted)
+        support = tuple(int(a > 0) for a in m)
+        differing = sum(all(xi >= si for xi, si in zip(x, support)) for x in checks._S5_SIMPLEX)
+        counterexample = _single_failure(checks.s5_polynomial, U, 5, 2)
+        assert counterexample.startswith(f"(d,pi,kappa,e)=({','.join(map(str, support))}): "), m
+        assert counterexample.endswith(f"; {differing} of 126 simplex tuples differ"), m
 
 
 def test_degenerate_family_catches_the_d2_fault():
@@ -107,6 +133,96 @@ def test_degenerate_family_catches_the_d2_fault():
     faulty = replace(U, D=TruncatedPowerSeries(coefficients))
     counterexample = _single_failure(checks.degenerate_family, faulty, 4, 2)
     assert counterexample == "engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1"
+
+
+# -- one fault per component --------------------------------------------------------
+
+
+def _bumped(values, index):
+    return tuple(x + (n == index) for n, x in enumerate(values))
+
+
+def _fault_in_log(name):
+    """The engine's log of series `name`, one too large at z^2."""
+
+    def install(monkeypatch):
+        solve, slot = universal._universal_logs, list(UNIT_TUPLES).index(name)
+        monkeypatch.setattr(
+            universal,
+            "_universal_logs",
+            lambda N: tuple(_bumped(log, 2) if i == slot else log for i, log in enumerate(solve(N))),
+        )
+
+    return install
+
+
+def _fault_in_blowup_targets(monkeypatch):
+    # C and D solved, without the cache, against targets with e = 26 for 25
+    vanishings = universal._blowup_vanishings
+    monkeypatch.setattr(universal, "_universal_logs", universal._universal_logs.__wrapped__)
+    monkeypatch.setattr(
+        universal,
+        "_blowup_vanishings",
+        lambda k: tuple((d, p, q, e + 1) for d, p, q, e in vanishings(k)),
+    )
+
+
+def _fault_in_b(monkeypatch):
+    determine = k3.determine_b_s1
+
+    def bumped(K):
+        seqs = determine(K)
+        return replace(seqs, b=_bumped(seqs.b, 3))
+
+    monkeypatch.setattr(k3, "determine_b_s1", bumped)
+
+
+def _fault_in_w(monkeypatch):
+    # a fresh build of the substitution with w(z) bumped before the three logs are taken
+    build = lehn._substitution.__wrapped__
+
+    def substitution(N):
+        zw, wz, *_ = build(N)
+        w = TruncatedPowerSeries(_bumped(wz, 2))
+        return (zw, w.coefficients, *(f.log().coefficients for f in lehn._factors(w)))
+
+    monkeypatch.setattr(lehn, "_substitution", substitution)
+
+
+def _fault_in_exponent(monkeypatch):
+    # b = d + 2 pi + ... for d - 2 pi + ..., a sign slip that pi = 0 hides
+    exponents = lehn.lehn_exponents
+
+    def slipped(inv):
+        exps = exponents(inv)
+        return replace(exps, b=exps.b + 4 * inv.pi)
+
+    monkeypatch.setattr(lehn, "lehn_exponents", slipped)
+
+
+def _fault_in_closed_formula(monkeypatch):
+    monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 4, 30))
+
+
+#: component -> (fault, a registry check that must FAIL under it)
+COMPONENT_FAULTS = {
+    "A": (_fault_in_log("A"), "b-vs-bprime"),
+    "B": (_fault_in_log("B"), "closed-vs-recursion"),
+    "C/D": (_fault_in_blowup_targets, "s5-polynomial"),
+    "b-sequence": (_fault_in_b, "b-vs-bprime"),
+    "w(z)": (_fault_in_w, "lehn-vanishing k=2"),
+    "Lehn exponent": (_fault_in_exponent, "engine-vs-lehn-grid"),
+    "closed formula": (_fault_in_closed_formula, "closed-vs-recursion"),
+}
+
+
+@pytest.mark.parametrize(("install", "check"), COMPONENT_FAULTS.values(), ids=COMPONENT_FAULTS)
+def test_a_fault_in_each_component_fails_a_registry_check(monkeypatch, install, check):
+    # the registry at order 4 and max_k 4, on the series set that `verify` builds
+    install(monkeypatch)
+    U = universal.universal_series_set(5)
+    outcomes = [outcome for run in checks.REGISTRY for outcome in run(U, 4, 4)]
+    assert check in {outcome.name for outcome in outcomes if not outcome.ok}
 
 
 def test_every_registry_check_runs_in_an_acceptance_criterion(monkeypatch):

@@ -169,12 +169,7 @@ SMALL_FAULT_REPORT = (
     "b-vs-bprime: PASS\n"
     "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(-3,-3,-3,0), k=2: engine 51/2 vs lehn 57/2)\n"
     "lehn-vanishing k=2: 0, 0 PASS\n"
-    "s5-polynomial: FAIL (first counterexample: transcription discrepancy at (d,pi,kappa,e)=(-5,-5,-5,-10): polynomial -593653/8 vs engine -1718639/24)\n"
-    "  transcription discrepancy at (d,pi,kappa,e)=(-5,-5,-5,-10): polynomial -593653/8 vs engine -1718639/24\n"
-    "  probe (d,pi,kappa,e)=(0,0,2,0): 120*(polynomial-engine) = -2240\n"
-    "  probe (d,pi,kappa,e)=(1,0,1,0): 120*(polynomial-engine) = -3900\n"
-    "  probe (d,pi,kappa,e)=(0,1,1,0): 120*(polynomial-engine) = -3840\n"
-    "  probe (d,pi,kappa,e)=(0,0,1,1): 120*(polynomial-engine) = 800\n"
+    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,1): polynomial 912 vs engine 2716/3; 69 of 126 simplex tuples differ)\n"
     "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
     "verify: 5/8 checks passed\n"
 )

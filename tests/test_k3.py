@@ -129,6 +129,11 @@ def test_b_s1_equal_the_table_induction(K):
     assert all(type(value) is F for value in (*seqs.b, *seqs.s1))
 
 
+def test_b_s1_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        determine_b_s1(-1)
+
+
 def test_bsequences_validates_seeds():
     with pytest.raises(ValueError):
         BSequences(b=(F(1), F(3)), s1=(F(1), F(0)))

@@ -187,7 +187,7 @@ def test_solver_reads_no_other_route(monkeypatch):
         for name in ("closed_segre", "determine_b_prime", "lehn_series"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(k3, "_universal_logs", solve)  # no cached prefix to read
+    monkeypatch.setattr(universal, "_universal_logs", solve)  # no cached prefix to read
     with pytest.raises(RuntimeError):
         k3.closed_segre(2, 3)
     assert solve(16) == expected_logs
@@ -286,12 +286,17 @@ def test_insufficient_order_rejected():
 # -- blow-up targets ---------------------------------------------------------------------
 
 
+def _section_count(target):
+    """h^0 of the twisted bundle: g + 1 - l(l+1)/2."""
+    return target.genus + 1 - target.twist * (target.twist + 1) // 2
+
+
 def test_targets_k5():
     first, second = blowup_targets(5)
     assert first.invariants.as_tuple() == (28, 4, -1, 25)
     assert second.invariants.as_tuple() == (29, 5, -1, 25)
-    assert first.section_count == 14
-    assert second.section_count == 14
+    assert _section_count(first) == 14
+    assert _section_count(second) == 14
 
 
 def test_targets_k2():
@@ -303,7 +308,7 @@ def test_targets_k2():
 def test_section_count_is_3k_minus_1():
     for k in range(2, 12):
         for target in blowup_targets(k):
-            assert target.section_count == 3 * k - 1
+            assert _section_count(target) == 3 * k - 1
 
 
 def test_targets_require_k_at_least_2():
