@@ -17,11 +17,12 @@ enough to expand algebraic generating functions exactly.  Only the
 product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
 power of the divisor) and composition are built from them.  The exp
-kernel `_exp_numerators` also serves the engine's vanishing solve.  It
-scales by the denominators of j f_j, which for the log of a generic
-rational series grow like lcm(1..N), so a power of such a series costs
-more than a direct recurrence would at high order (at N = 128, about
-1.5x on the seeded round trips); the CLI never goes past order 64.
+kernel `_exp_numerators` and its step `_binomial_dot` also serve the
+engine's vanishing solve.  The kernel scales by the denominators of
+j f_j, which for the log of a generic rational series grow like
+lcm(1..N), so a power of such a series costs more than a direct
+recurrence would at high order (at N = 128, about 1.5x on the seeded
+round trips); the CLI never goes past order 64.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import re
 from fractions import Fraction
 from functools import wraps
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -357,27 +358,35 @@ def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
     return [sum(map(mul, f[: k + 1], g[k::-1])) for k in range(n + 1)]
 
 
+_PASCAL = {0: [1]}  # row r: C(r, 0) .. C(r, r); rows are only ever added, by `_binomial_dot`
+
+
+def _binomial_dot(c: list[int], e: list[int]) -> int:
+    """sum_i C(n, i) c[i] e[n - i] for n = len(e) - 1: one step of `_exp_numerators`.
+
+    With c = c_1 .. c_(n+1) this is the next exp numerator e_(n+1); with c
+    and e two exp-scaled sequences it is the z^n numerator of their product.
+    """
+    for r in range(len(_PASCAL), len(e)):  # setdefault: a concurrent grower adds the same row
+        _PASCAL.setdefault(r, [1, *map(add, _PASCAL[r - 1], _PASCAL[r - 1][1:]), 1])
+    return sum(map(mul, map(mul, _PASCAL[len(e) - 1], c), reversed(e)))
+
+
 def _exp_numerators(g: list[int], den: int) -> tuple[list[int], list[int]]:
     """exp(f) as E_n = e[n] / scales[n], for f0 = 0 and j f_j = g[j] / den.
 
     From E' = f' E, e_n = D^n n! E_n = sum_j C(n-1, j-1) c_j e_{n-j} over the
-    integers c_j = (j-1)! D^(j-1) j f_j, D the reduced den.  A log's j f_j has
-    a far smaller denominator than its f_j, which keeps e_n short.
+    integers c_j = (j-1)! D^(j-1) j f_j, D the reduced den: one `_binomial_dot`
+    per n, the step that also grows the vanishing solve's twin series.  A
+    log's j f_j has a far smaller denominator than its f_j: e_n stays short.
     """
     common = gcd(den, *g)
     den //= common
-    c = []  # c_1 .. c_N
-    weight = 1  # (j-1)! D^(j-1)
-    for j in range(1, len(g)):
-        c.append(weight * (g[j] // common))
-        weight *= j * den
-    e = [1]
-    scales = [1]  # D^n n!
-    binomials = [1]  # C(n-1, j-1) for j = 1..n
+    c, e, scales = [], [1], [1]  # c_1 .. c_n, and e_n over scales[n] = D^n n!
     for n in range(1, len(g)):
-        e.append(sum(map(mul, map(mul, binomials, c), reversed(e))))
+        c.append(scales[-1] * (g[n] // common))
+        e.append(_binomial_dot(c, e))
         scales.append(scales[-1] * den * n)
-        binomials = [1, *map(sum, zip(binomials, binomials[1:])), 1]
     return e, scales
 
 

@@ -16,13 +16,15 @@ combination of four cached logs.
 
 The logs come from one probe-and-solve on two vanishing families.  The
 z^k coefficient of exp(L) is L_k plus a polynomial in lower ones, so
-probing two targets with the two unknown k-th log coefficients set to 0
-yields a 2 x 2 affine system for them:
+the values at two targets with the unknown k-th log coefficients set to
+0 yield a 2 x 2 affine system; the exp kernel probes the first target,
+and the second, at a fixed offset delta, is that probe times exp(delta . log):
 
 - the K3 family (2g - 2, 0, 0, 24) with s(k, 2k) = s(k, 2k - 1) = 0
-  fixes log A_k and log B_k (determinant 48);
+  fixes log A_k and log B_k (determinant 48, delta = (-2, 0, 0, 0));
 - the blown-up K3 tuples (7(k-1), k-1, -1, 25) and (7(k-1)+1, k, -1, 25)
-  of `blowup_targets(k)` fix log C_k and log D_k (determinant 1).
+  of `blowup_targets(k)` fix log C_k and log D_k (determinant 1,
+  delta = (1, 1, 0, 0)).
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2), and its logs are kept at the largest order requested so far.
@@ -38,9 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import factorial
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_of_combination
-from .series import _grown_by_prefix
+from .series import _binomial_dot, _grown_by_prefix
 
 __all__ = [
     "BlowupTarget",
@@ -176,26 +179,38 @@ def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t.invariants.as_tuple() for t in blowup_targets(k))
 
 
-def _probe(G, den: int, weights, k: int) -> Fraction:
-    """The z^k coefficient of exp(sum of weight * log): integer dot products, the integer exp."""
-    terms = [(t, row) for t, row in zip(weights, G) if t]
-    e, scales = _exp_numerators([sum(t * row[n] for t, row in terms) for n in range(k + 1)], den)
-    return Fraction(e[k], scales[k])
-
-
 def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) -> int:
     """Solve the k-th coefficients of two logs from two vanishings, k = 2 .. N.
 
     G[i][j] / den is j log_j, for log i in the order of `UNIT_TUPLES`.
     Fills G[i][k] and G[j][k], (i, j) = `slots`, so that exp(sum of
-    weight * log) has z^k coefficient 0 at both tuples of `vanishings(k)`.
-    The unknown entries start at 0, so a probe reads the constant part nu
-    of its equation.  Returns den, grown with all of G where a value needs it.
+    weight * log) has z^k coefficient 0 at both tuples w, v of
+    `vanishings(k)`.  The unknown entries start at 0, so a probe reads the
+    constant part nu of its equation.  Only w runs the exp kernel: exp(L_v)
+    is exp(L_w) M with M = exp((v - w) . log), which grows by kernel steps
+    and is rebuilt when v - w or den changes.  Returns den, grown with all
+    of G where a value needs it.
     """
     i, j = slots
+    key, c, m = None, [], [1]  # M as m_n / (den^n n!), c its kernel weights
     for k in range(2, N + 1):
         w, v = vanishings(k)
-        nu, nu_v = _probe(G, den, w, k), _probe(G, den, v, k)
+        delta = tuple(b - a for a, b in zip(w, v))
+        if key != (delta, den):
+            key, c, m = (delta, den), [], [1]
+        while len(m) <= k:
+            n = len(m)
+            entry = sum(t * row[n] for t, row in zip(delta, G))
+            c.append(factorial(n - 1) * den ** (n - 1) * entry)
+            m.append(_binomial_dot(c, m))
+        g = [0] * (k + 1)
+        for t, row in zip(w, G):  # the weighted sum, one row at a time
+            if t:
+                g = [a + t * x for a, x in zip(g, row)]
+        e, scales = _exp_numerators(g, den)
+        lift = den // scales[1]  # e_t / scales[t] = e_t lift^t / (den^t t!)
+        twin = _binomial_dot([x * lift**t for t, x in enumerate(e)], m)
+        nu, nu_v = Fraction(e[k], scales[k]), Fraction(twin, scales[k] * lift**k)
         det = w[i] * v[j] - w[j] * v[i]
         solved = {i: (w[j] * nu_v - v[j] * nu) / det, j: (v[i] * nu - w[i] * nu_v) / det}
         for slot, log_k in solved.items():
@@ -204,6 +219,7 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
                 den *= growth
                 G[:] = [[x * growth for x in row] for row in G]
             G[slot][k] = (k * den * log_k).numerator
+        del c[k - 1 :], m[k:]  # c_k and m_k read the unknowns as 0: regrown next step
     return den
 
 

@@ -531,7 +531,7 @@ def test_prop_revert_matches_undetermined_reference(linear, tail):
 # -- the integer kernels stay private to the series module -----------------
 
 
-INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators"}
+INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators", "_binomial_dot"}
 
 
 def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_solve():

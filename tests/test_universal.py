@@ -144,7 +144,7 @@ def _oracle_logs(N: int) -> tuple[tuple[F, ...], ...]:
     return tuple(map(tuple, logs))
 
 
-@pytest.mark.parametrize("N", (0, 1, 2, 3, 12, 32))
+@pytest.mark.parametrize("N", (0, 1, 2, 3, 12, 32, 64))
 def test_integer_solve_equals_fraction_solve(N):
     logs = universal._universal_logs.__wrapped__(N)
     expected = _oracle_logs(N)
@@ -167,6 +167,35 @@ def test_integer_solve_grows_the_shared_denominator():
     logs[0][1] = F(1)
     fraction_probe_and_solve(logs, (0, 3), family, N)
     assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
+
+
+def test_twin_probe_rescales_after_the_denominator_grows():
+    # delta = v - w stays (1, 0, 0, 1) while den grows to 15 by N = 6, so the
+    # twin series M is rebuilt over each new den
+    N = 6
+    family = lambda k: ((1, 0, 0, k), (2, 0, 0, k + 1))  # determinant 1 - k
+    G = [[0] * (N + 1) for _ in range(4)]
+    G[0][1] = 1
+    den = universal._probe_and_solve(G, 1, (0, 3), family, N)
+    assert den == 15
+    logs = [[F(0)] * (N + 1) for _ in range(4)]
+    logs[0][1] = F(1)
+    fraction_probe_and_solve(logs, (0, 3), family, N)
+    assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
+
+
+def test_solve_runs_one_exp_per_step_and_family(monkeypatch):
+    # the second target of each step is read off the first probe, not exponentiated
+    N, calls = 32, []
+    kernel = universal._exp_numerators
+
+    def spy(g, den):
+        calls.append(len(g))
+        return kernel(g, den)
+
+    monkeypatch.setattr(universal, "_exp_numerators", spy)
+    universal._universal_logs.__wrapped__(N)
+    assert len(calls) <= 2 * N
 
 
 def test_series_set_equality_compares_the_order():
