@@ -8,13 +8,12 @@ Subcommands:
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings, never as decimals.  The
-default truncation order of `series` and `verify` is 8 and can be
-overridden with the SEGRE_DEFAULT_ORDER environment variable or their
---order and --max-order flags; `number` and `lehn` evaluate at order
---k.  No order, k or max-k may exceed MAX_ORDER.  Exit codes: 0 success,
-1 verification failure, 2 usage error (an order above MAX_ORDER
-included) or an `--output` path that cannot be written, which is found
-before any work starts.
+truncation order of `series` and `verify` is 8 unless their --order and
+--max-order flags say otherwise; `number` and `lehn` evaluate at order
+--k.  No order, k or max-k may exceed MAX_ORDER: argparse refuses one as
+a usage error before any work starts.  Exit codes: 0 success, 1
+verification failure, 2 usage error or an `--output` path that cannot
+be written, which is also found before any work starts.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -35,31 +33,13 @@ from .series import TruncatedPowerSeries, format_rational
 from .universal import UNIT_TUPLES, SurfaceInvariants, segre_series, universal_series_set
 
 DEFAULT_ORDER = 8
-ORDER_ENV_VAR = "SEGRE_DEFAULT_ORDER"
-#: The largest --k, --order, --max-order, --max-k or SEGRE_DEFAULT_ORDER
-#: accepted: the largest power of two at which every command ends within
-#: a minute.  The dearest one at order N, `verify --max-order N --max-k N`,
-#: took 7.0 s at N = 48, 20 s at 64, 57 s at 96 and 208 s at 128 on a
-#: 2-vCPU machine; its kernel-roundtrips check sets the pace at 128.
+#: The largest --k, --order, --max-order or --max-k accepted: the
+#: largest power of two at which every command ends within a minute.
+#: The dearest one at order N, `verify --max-order N --max-k N`, took
+#: 7.0 s at N = 48, 20 s at 64, 57 s at 96 and 208 s at 128 on a 2-vCPU
+#: machine; its kernel-roundtrips check sets the pace at 128.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
-
-
-def _default_order() -> int:
-    raw = os.environ.get(ORDER_ENV_VAR)
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= MAX_ORDER:
-        print(
-            f"{ORDER_ENV_VAR} must be an integer from 0 to {MAX_ORDER}, got {raw!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    return value
 
 
 @dataclass(frozen=True)
@@ -141,7 +121,6 @@ def cmd_number(args: argparse.Namespace) -> int:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    order = args.order if args.order is not None else _default_order()
     unit = args.which in UNIT_TUPLES  # a unit tuple takes no tuple flags; the others need all
     wrong = [f for f in ("d", "pi", "kappa", "e") if (getattr(args, f) is None) != unit]
     if wrong:
@@ -150,9 +129,9 @@ def cmd_series(args: argparse.Namespace) -> int:
         return 2
     inv = UNIT_TUPLES[args.which] if unit else _invariants_from(args)
     if args.which == "lehn":
-        series, route = lehn_series(inv, order), "lehn"
+        series, route = lehn_series(inv, args.order), "lehn"
     else:
-        series, route = segre_series(inv, order, universal_series_set(order)), "engine"
+        series, route = segre_series(inv, args.order, universal_series_set(args.order)), "engine"
     records = [
         OutputRecord(inv, k, series[k], route) for k in range(series.order + 1)
     ]
@@ -174,13 +153,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_k < 2:
         print("--max-k must be at least 2", file=sys.stderr)
         return 2
-    order = args.max_order if args.max_order is not None else _default_order()
-    U = universal_series_set(max(order, 5))
+    U = universal_series_set(max(args.max_order, 5))
     if args.inject_fault:
         coefficients = list(U.D.coefficients)
         coefficients[2] += 1
         U = replace(U, D=TruncatedPowerSeries(coefficients))
-    outcomes = [outcome for check in REGISTRY for outcome in check(U, order, args.max_k)]
+    outcomes = [outcome for check in REGISTRY for outcome in check(U, args.max_order, args.max_k)]
     passed = sum(outcome.ok for outcome in outcomes)
     lines = [line for outcome in outcomes for line in outcome.lines()]
     lines.append(f"verify: {passed}/{len(outcomes)} checks passed")
@@ -193,10 +171,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _nonnegative(text: str) -> int:
+def _order(text: str) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0 <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be from 0 to {MAX_ORDER}, got {value}")
     return value
 
 
@@ -222,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_number = sub.add_parser("number", help="one Segre number for a tuple")
     _add_tuple_flags(p_number, required=True)
-    p_number.add_argument("--k", type=_nonnegative, required=True)
+    p_number.add_argument("--k", type=_order, required=True)
     p_number.add_argument("--all-routes", action="store_true",
                           help="also print the closed (when applicable) and lehn values")
     _add_format_flags(p_number)
@@ -230,20 +208,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="coefficients of a determined or generating series")
     p_series.add_argument("--which", choices=("A", "B", "C", "D", "s", "lehn"), required=True)
-    p_series.add_argument("--order", type=_nonnegative, default=None)
+    p_series.add_argument("--order", type=_order, default=DEFAULT_ORDER)
     _add_tuple_flags(p_series, required=False)
     _add_format_flags(p_series)
     p_series.set_defaults(func=cmd_series)
 
     p_lehn = sub.add_parser("lehn", help="one Segre number via the Lehn generating function")
     _add_tuple_flags(p_lehn, required=True)
-    p_lehn.add_argument("--k", type=_nonnegative, required=True)
+    p_lehn.add_argument("--k", type=_order, required=True)
     _add_format_flags(p_lehn)
     p_lehn.set_defaults(func=cmd_lehn)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    p_verify.add_argument("--max-k", type=_nonnegative, default=8)
-    p_verify.add_argument("--max-order", type=_nonnegative, default=None)
+    p_verify.add_argument("--max-k", type=_order, default=8)
+    p_verify.add_argument("--max-order", type=_order, default=DEFAULT_ORDER)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="testing aid: corrupt one engine coefficient, the suite must FAIL")
     p_verify.add_argument("--output", metavar="PATH", help="write the report to a file")
@@ -255,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("k", "order", "max_order", "max_k"):
-        value = getattr(args, flag, None)
-        if value is not None and value > MAX_ORDER:
-            option = "--" + flag.replace("_", "-")
-            print(f"{option} must be at most {MAX_ORDER}, got {value}", file=sys.stderr)
-            return 2
     if getattr(args, "output", None) is not None:
         _emit("", args.output)  # open it now, as a shell redirection would: fail before any work
     return args.func(args)

@@ -18,11 +18,12 @@ product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
 power of the divisor) and composition are built from them.  The exp
 kernel `_exp_numerators` and its step `_binomial_dot` also serve the
-engine's vanishing solve.  The kernel scales by the denominators of
-j f_j, which for the log of a generic rational series grow like
-lcm(1..N), so a power of such a series costs more than a direct
-recurrence would at high order (at N = 128, about 1.5x on the seeded
-round trips); the CLI never goes past order 64.
+engine's vanishing solve.  The kernel scales e_n by exactly den^n n!
+for the den it is given; `exp` passes the denominator of j f_j, which
+for the log of a generic rational series grows like lcm(1..N), so a
+power of such a series costs more than a direct recurrence would at
+high order (at N = 128, about 1.5x on the seeded round trips); the CLI
+never goes past order 64.
 """
 
 from __future__ import annotations
@@ -248,7 +249,9 @@ class TruncatedPowerSeries:
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
         f, den = _scaled(self._coefficients)
-        e, scales = _exp_numerators([j * x for j, x in enumerate(f)], den)
+        g = [j * x for j, x in enumerate(f)]
+        common = gcd(den, *g)  # a log's j f_j has a far smaller denominator than its f_j
+        e, scales = _exp_numerators([x // common for x in g], den // common)
         return TruncatedPowerSeries(map(Fraction, e, scales))
 
     def log(self) -> "TruncatedPowerSeries":
@@ -375,16 +378,15 @@ def _binomial_dot(c: list[int], e: list[int]) -> int:
 def _exp_numerators(g: list[int], den: int) -> tuple[list[int], list[int]]:
     """exp(f) as E_n = e[n] / scales[n], for f0 = 0 and j f_j = g[j] / den.
 
-    From E' = f' E, e_n = D^n n! E_n = sum_j C(n-1, j-1) c_j e_{n-j} over the
-    integers c_j = (j-1)! D^(j-1) j f_j, D the reduced den: one `_binomial_dot`
-    per n, the step that also grows the vanishing solve's twin series.  A
-    log's j f_j has a far smaller denominator than its f_j: e_n stays short.
+    From E' = f' E, e_n = den^n n! E_n = sum_j C(n-1, j-1) c_j e_{n-j} over
+    the integers c_j = (j-1)! den^(j-1) j f_j: one `_binomial_dot` per n, the
+    step that also grows the vanishing solve's twin series.  The scale is
+    exactly scales[n] = den^n n!, whatever g; a caller that wants e_n short
+    divides den and g by their gcd first.
     """
-    common = gcd(den, *g)
-    den //= common
-    c, e, scales = [], [1], [1]  # c_1 .. c_n, and e_n over scales[n] = D^n n!
+    c, e, scales = [], [1], [1]  # c_1 .. c_n, and e_n over scales[n] = den^n n!
     for n in range(1, len(g)):
-        c.append(scales[-1] * (g[n] // common))
+        c.append(scales[-1] * g[n])
         e.append(_binomial_dot(c, e))
         scales.append(scales[-1] * den * n)
     return e, scales

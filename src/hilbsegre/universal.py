@@ -188,8 +188,9 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
     `vanishings(k)`.  The unknown entries start at 0, so a probe reads the
     constant part nu of its equation.  Only w runs the exp kernel: exp(L_v)
     is exp(L_w) M with M = exp((v - w) . log), which grows by kernel steps
-    and is rebuilt when v - w or den changes.  Returns den, grown with all
-    of G where a value needs it.
+    and is rebuilt when v - w or den changes.  The kernel returns both
+    over the same scale den^n n!, so nu_v is one `_binomial_dot` of their
+    numerators.  Returns den, grown with all of G where a value needs it.
     """
     i, j = slots
     key, c, m = None, [], [1]  # M as m_n / (den^n n!), c its kernel weights
@@ -207,10 +208,8 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
         for t, row in zip(w, G):  # the weighted sum, one row at a time
             if t:
                 g = [a + t * x for a, x in zip(g, row)]
-        e, scales = _exp_numerators(g, den)
-        lift = den // scales[1]  # e_t / scales[t] = e_t lift^t / (den^t t!)
-        twin = _binomial_dot([x * lift**t for t, x in enumerate(e)], m)
-        nu, nu_v = Fraction(e[k], scales[k]), Fraction(twin, scales[k] * lift**k)
+        e, scales = _exp_numerators(g, den)  # e_t over scales[t] = den^t t!, as m_t
+        nu, nu_v = Fraction(e[k], scales[k]), Fraction(_binomial_dot(e, m), scales[k])
         det = w[i] * v[j] - w[j] * v[i]
         solved = {i: (w[j] * nu_v - v[j] * nu) / det, j: (v[i] * nu - w[i] * nu_v) / det}
         for slot, log_k in solved.items():

@@ -70,7 +70,6 @@ def test_verify_reports_a_failed_b_prime_certificate(monkeypatch, capsys):
     # the check reports it, and the rest of the report still runs
     monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 8, 9))
     assert _single_failure(checks.b_vs_bprime, None, 0, 8).startswith("g=9: ")
-    monkeypatch.delenv(cli.ORDER_ENV_VAR, raising=False)
     assert cli.main(["verify"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "b-vs-bprime: FAIL (first counterexample: g=9: b' S_(g-1) != S_g)" in lines

@@ -174,11 +174,59 @@ SMALL_FAULT_REPORT = (
     "verify: 5/8 checks passed\n"
 )
 
+# `hilbsegre verify` and `hilbsegre verify --inject-fault` with every default
+DEFAULT_REPORT = (
+    "kernel-roundtrips: PASS\n"
+    "closed-vs-recursion: PASS\n"
+    "pascal-identity: PASS\n"
+    "b-vs-bprime: PASS\n"
+    "engine-vs-lehn-grid: PASS\n"
+    "lehn-vanishing k=2: 0, 0 PASS\n"
+    "lehn-vanishing k=3: 0, 0 PASS\n"
+    "lehn-vanishing k=4: 0, 0 PASS\n"
+    "lehn-vanishing k=5: 0, 0 PASS\n"
+    "lehn-vanishing k=6: 0, 0 PASS\n"
+    "lehn-vanishing k=7: 0, 0 PASS\n"
+    "lehn-vanishing k=8: 0, 0 PASS\n"
+    "s5-polynomial: PASS\n"
+    "degenerate-family: PASS\n"
+    "verify: 14/14 checks passed\n"
+)
+
+DEFAULT_FAULT_REPORT = (
+    "kernel-roundtrips: PASS\n"
+    "closed-vs-recursion: PASS\n"
+    "pascal-identity: PASS\n"
+    "b-vs-bprime: PASS\n"
+    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(-3,-3,-3,0), k=2: engine 51/2 vs lehn 57/2)\n"
+    "lehn-vanishing k=2: 0, 0 PASS\n"
+    "lehn-vanishing k=3: 0, 0 PASS\n"
+    "lehn-vanishing k=4: 0, 0 PASS\n"
+    "lehn-vanishing k=5: 0, 0 PASS\n"
+    "lehn-vanishing k=6: 0, 0 PASS\n"
+    "lehn-vanishing k=7: 0, 0 PASS\n"
+    "lehn-vanishing k=8: 0, 0 PASS\n"
+    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,1): polynomial 912 vs engine 2716/3; 69 of 126 simplex tuples differ)\n"
+    "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
+    "verify: 11/14 checks passed\n"
+)
+
 
 def test_verify_small_run_passes(capsys):
     code, out = run_cli(capsys, "verify", "--max-k", "2", "--max-order", "4")
     assert code == 0
     assert out == SMALL_REPORT
+
+
+@pytest.mark.parametrize(
+    "argv,code,report",
+    [(("verify",), 0, DEFAULT_REPORT), (("verify", "--inject-fault"), 1, DEFAULT_FAULT_REPORT)],
+)
+def test_verify_default_reports_are_frozen(capsys, argv, code, report):
+    # pins the default --max-order and --max-k along with every check's text
+    exit_code, out = run_cli(capsys, *argv)
+    assert out == report
+    assert exit_code == code
 
 
 def test_verify_is_deterministic(capsys):
@@ -247,50 +295,33 @@ def test_orders_above_the_maximum_are_refused(capsys, monkeypatch, argv, option)
     # parsing only: the work is stubbed, so the limit itself starts it
     monkeypatch.setattr(cli, "universal_series_set", _no_work)
     monkeypatch.setattr(cli, "lehn_series", _no_work)
-    code = main([*argv, str(MAX_ORDER + 1)])
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, str(MAX_ORDER + 1)])
     captured = capsys.readouterr()
-    assert code == 2
+    assert excinfo.value.code == 2
     assert captured.out == ""
-    assert captured.err == f"{option} must be at most {MAX_ORDER}, got {MAX_ORDER + 1}\n"
+    assert captured.err.splitlines()[-1] == (
+        f"hilbsegre {argv[0]}: error: argument {option}: "
+        f"must be from 0 to {MAX_ORDER}, got {MAX_ORDER + 1}"
+    )
     with pytest.raises(_WorkStarted):
         main([*argv, str(MAX_ORDER)])
 
 
-def test_default_order_above_the_maximum_is_refused(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "universal_series_set", _no_work)
-    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", str(MAX_ORDER + 1))
-    with pytest.raises(SystemExit) as excinfo:
-        main(["series", "--which", "A"])
-    assert excinfo.value.code == 2
-    assert capsys.readouterr().err == (
-        f"SEGRE_DEFAULT_ORDER must be an integer from 0 to {MAX_ORDER}, got '{MAX_ORDER + 1}'\n"
-    )
-    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", str(MAX_ORDER))
-    with pytest.raises(_WorkStarted):
-        main(["series", "--which", "A"])
-
-
-def test_default_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", "3")
-    code, out = run_cli(capsys, "series", "--which", "A")
-    assert code == 0
-    assert len(out.splitlines()) == 4
-
-
-def test_default_order_env_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("SEGRE_DEFAULT_ORDER", "many")
-    with pytest.raises(SystemExit) as excinfo:
-        main(["series", "--which", "A"])
-    assert excinfo.value.code == 2
-
-
 def test_number_evaluates_at_k_whatever_the_default_order(capsys, monkeypatch):
-    argv = ("number", *TUPLE, "--k", "5", "--format", "csv")
-    expected = run_cli(capsys, *argv)
-    assert expected[0] == 0
+    # no environment variable sets an order: only the flags and their defaults do
+    monkeypatch.delenv("SEGRE_DEFAULT_ORDER", raising=False)
+    inputs = [
+        ("number", *TUPLE, "--k", "5", "--format", "csv"),
+        ("series", "--which", "A"),
+        ("verify", "--max-k", "2", "--max-order", "3"),
+    ]
+    expected = [run_cli(capsys, *argv) for argv in inputs]
+    assert [code for code, _ in expected] == [0, 0, 0]
+    assert len(expected[1][1].splitlines()) == cli.DEFAULT_ORDER + 1 == 9
     for raw in ("3", "many", str(MAX_ORDER + 1)):
         monkeypatch.setenv("SEGRE_DEFAULT_ORDER", raw)
-        assert run_cli(capsys, *argv) == expected
+        assert [run_cli(capsys, *argv) for argv in inputs] == expected
 
 
 def test_number_refuses_order(capsys):

@@ -345,6 +345,13 @@ def test_exp_scaling_matches_fraction_reference(seed):
             assert f.exp().coefficients == fraction_exp(f).coefficients, (seed, order)
 
 
+def test_exp_kernel_scales_by_exactly_den_to_the_n_times_n_factorial():
+    # j f_j = (0, 2, 4) / 6 share the factor 2, and the kernel keeps it:
+    # only `exp` reduces, so the vanishing solve can read any probe over den^n n!
+    e, scales = hilbsegre.series._exp_numerators([0, 2, 4], 6)
+    assert scales == [6**n * math.factorial(n) for n in range(3)]
+    assert e == [1, 2, 28]  # exp(z/3 + z^2/3) = 1 + z/3 + 7/18 z^2
+
 @pytest.mark.parametrize("seed", range(4))
 def test_pow_and_div_match_fraction_references(seed):
     rng = random.Random(100 + seed)
