@@ -34,7 +34,6 @@ from .series import (
     parse_rational,
 )
 from .universal import (
-    BlowupTarget,
     SurfaceInvariants,
     UniversalSeriesSet,
     blowup_targets,
@@ -49,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BSequences",
-    "BlowupTarget",
     "ExactRational",
     "LehnExponents",
     "SurfaceInvariants",

@@ -30,10 +30,9 @@ class Outcome:
     counterexample: str = ""
     values: str = ""  # printed between the name and the verdict
 
-    def lines(self) -> list[str]:
+    def line(self) -> str:
         verdict = "PASS" if self.ok else f"FAIL (first counterexample: {self.counterexample})"
-        head = f"{self.name}: {self.values} {verdict}" if self.values else f"{self.name}: {verdict}"
-        return [head]
+        return f"{self.name}: {self.values} {verdict}" if self.values else f"{self.name}: {verdict}"
 
 
 def _single(name: str):
@@ -69,22 +68,22 @@ def kernel_roundtrips(U, order: int, max_k: int):
         n = rng.randint(2, max(2, order))
         tail = [Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(n)]
         unit = Series([Fraction(1)] + tail)
-        if unit.log().exp().coefficients != unit.coefficients:
+        if unit.log().exp() != unit:
             return f"exp(log f) != f for random unit series #{i}"
         for alpha, beta in _EXPONENT_PAIRS:
             product = unit.pow(alpha) * unit.pow(beta)
-            if product.coefficients != unit.pow(alpha + beta).coefficients:
+            if product != unit.pow(alpha + beta):
                 return f"pow additivity failed for series #{i} at ({alpha},{beta})"
         zero_const = Series([Fraction(0)] + tail)
-        if zero_const.exp().log().coefficients != zero_const.coefficients:
+        if zero_const.exp().log() != zero_const:
             return f"log(exp g) != g for random series #{i}"
         linear = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
         rest = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n - 1)]
         invertible = Series([Fraction(0), linear] + rest)
-        identity = Series.identity(n).coefficients
+        identity = Series.identity(n)
         inverse = invertible.revert()
         roundtrips = (invertible.compose(inverse), inverse.compose(invertible))
-        if any(roundtrip.coefficients != identity for roundtrip in roundtrips):
+        if any(roundtrip != identity for roundtrip in roundtrips):
             return f"reversion roundtrip failed for series #{i}"
 
 
@@ -130,8 +129,8 @@ def engine_vs_lehn_grid(U, order: int, max_k: int):
     grid = itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (0, 12, 24))
     fmt = series.format_rational
     for inv in itertools.starmap(universal.SurfaceInvariants, grid):
-        engine = universal.segre_series(inv, order, U).coefficients
-        oracle = lehn.lehn_series(inv, order).coefficients
+        engine = universal.segre_series(inv, order, U)
+        oracle = lehn.lehn_series(inv, order)
         if engine != oracle:
             k = next(k for k, (x, y) in enumerate(zip(engine, oracle)) if x != y)
             return f"{_fmt(inv)}, k={k}: engine {fmt(engine[k])} vs lehn {fmt(oracle[k])}"
@@ -167,9 +166,9 @@ def s5_polynomial(U, order: int, max_k: int):
     sum x <= 5, so agreement on its 126 points is agreement everywhere.
     """
     for target in universal.blowup_targets(5):
-        value = lehn.eval_s5_polynomial(target.invariants)
+        value = lehn.eval_s5_polynomial(target)
         if value != 0:
-            return f"nonzero at {_fmt(target.invariants)}: {value}"
+            return f"nonzero at {_fmt(target)}: {value}"
     fmt = series.format_rational
     differing = []
     for inv in itertools.starmap(universal.SurfaceInvariants, _S5_SIMPLEX):

@@ -160,7 +160,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         U = replace(U, D=TruncatedPowerSeries(coefficients))
     outcomes = [outcome for check in REGISTRY for outcome in check(U, args.max_order, args.max_k)]
     passed = sum(outcome.ok for outcome in outcomes)
-    lines = [line for outcome in outcomes for line in outcome.lines()]
+    lines = [outcome.line() for outcome in outcomes]
     lines.append(f"verify: {passed}/{len(outcomes)} checks passed")
     _emit("".join(line + "\n" for line in lines), args.output)
     return 0 if passed == len(outcomes) else 1
@@ -172,7 +172,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _order(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if not 0 <= value <= MAX_ORDER:
         raise argparse.ArgumentTypeError(f"must be from 0 to {MAX_ORDER}, got {value}")
     return value

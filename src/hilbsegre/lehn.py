@@ -127,8 +127,8 @@ def verify_lehn_vanishings(
     report = []
     for k in range(2, max_k + 1):
         for target in blowup_targets(k):
-            coefficient = lehn_series(target.invariants, k)[k]
-            report.append((k, target.invariants, coefficient))
+            coefficient = lehn_series(target, k)[k]
+            report.append((k, target, coefficient))
     return tuple(report)
 
 

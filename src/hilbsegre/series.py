@@ -3,10 +3,10 @@
 A series of order N stores the coefficients of z^0 .. z^N; everything
 above z^N is unknown (not zero).  Binary operations between series of
 different orders truncate to the smaller order, the precision actually
-supported by both operands, and equality compares coefficients up to
-the smaller order.  Coefficients are `fractions.Fraction` at the
-interface, so every operation is exact and every coefficient stays in
-canonical reduced form; floats are rejected on input.  Inside the
+supported by both operands.  Equality is exact, order included;
+`truncate` compares prefixes.  Coefficients are `fractions.Fraction` at
+the interface, so every operation is exact and every coefficient stays
+in canonical reduced form; floats are rejected on input.  Inside the
 product, exp, log and reversion kernels the coefficients are cleared of
 denominators once, the recurrence runs over Python integers, and each
 output coefficient is reduced once (Knuth, TAOCP vol. 2, 4.7).
@@ -164,10 +164,7 @@ class TruncatedPowerSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self._coefficients[: n + 1] == other._coefficients[: n + 1]
-
-    __hash__ = None  # prefix equality is incompatible with hashing
+        return self._coefficients == other._coefficients
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self._coefficients)

@@ -22,9 +22,9 @@ and the second, at a fixed offset delta, is that probe times exp(delta . log):
 
 - the K3 family (2g - 2, 0, 0, 24) with s(k, 2k) = s(k, 2k - 1) = 0
   fixes log A_k and log B_k (determinant 48, delta = (-2, 0, 0, 0));
-- the blown-up K3 tuples (7(k-1), k-1, -1, 25) and (7(k-1)+1, k, -1, 25)
-  of `blowup_targets(k)` fix log C_k and log D_k (determinant 1,
-  delta = (1, 1, 0, 0)).
+- the blown-up K3 tuples (7(k-1), k-1, -1, 25) and (7(k-1)+1, k, -1, 25),
+  the two `SurfaceInvariants` that `blowup_targets(k)` returns, fix
+  log C_k and log D_k (determinant 1, delta = (1, 1, 0, 0)).
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2), and its logs are kept at the largest order requested so far.
@@ -46,7 +46,6 @@ from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_o
 from .series import _binomial_dot, _grown_by_prefix
 
 __all__ = [
-    "BlowupTarget",
     "SurfaceInvariants",
     "UNIT_TUPLES",
     "UniversalSeriesSet",
@@ -131,44 +130,24 @@ class UniversalSeriesSet:
     def order(self) -> int:
         return self.A.order
 
-    def __eq__(self, other) -> bool:  # a series' own == ignores the order
-        if not isinstance(other, UniversalSeriesSet):
-            return NotImplemented
-        return all(getattr(self, n).coefficients == getattr(other, n).coefficients for n in "ABCD")
-
     @cached_property
     def _logs(self) -> tuple[tuple[Fraction, ...], ...]:
         """The logs of the series in the order of `UNIT_TUPLES`."""
         return tuple(getattr(self, name).log().coefficients for name in UNIT_TUPLES)
 
 
-@dataclass(frozen=True)
-class BlowupTarget:
-    """A vanishing tuple on a K3 blown up at a point.
+def blowup_targets(k: int) -> tuple[SurfaceInvariants, SurfaceInvariants]:
+    """The two tuples where the k-th Segre number is forced to vanish.
 
-    The line bundle pulls back the degree-(2g - 2) polarization and
-    twists down l times by the exceptional curve, so d = 2g - 2 - l^2
-    and pi = l; the constraint g - l(l+1)/2 = 3k - 2 makes the k-th
-    Segre number vanish for l = k - 1 and l = k.
+    Each is a K3 blown up at a point.  The line bundle pulls back the
+    degree-(2g - 2) polarization and twists down l times by the
+    exceptional curve, so d = 2g - 2 - l^2 and pi = l; the constraint
+    g - l(l+1)/2 = 3k - 2 makes the k-th Segre number vanish for
+    l = k - 1 and l = k.  Together they give d = 6k - 6 + l.
     """
-
-    invariants: SurfaceInvariants
-    genus: int
-    twist: int
-
-
-def blowup_targets(k: int) -> tuple[BlowupTarget, BlowupTarget]:
-    """The two tuples where the k-th Segre number is forced to vanish."""
     if k < 2:
         raise ValueError("targets defined for k >= 2 only")
-    targets = []
-    for twist in (k - 1, k):
-        genus = 3 * k - 2 + twist * (twist + 1) // 2
-        d = 2 * genus - 2 - twist * twist
-        targets.append(
-            BlowupTarget(SurfaceInvariants(d, twist, -1, 25), genus, twist)
-        )
-    return tuple(targets)
+    return tuple(SurfaceInvariants(6 * k - 6 + twist, twist, -1, 25) for twist in (k - 1, k))
 
 
 def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:  # genera 2k and 2k - 1
@@ -176,7 +155,7 @@ def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:  # genera 2k and 2k -
 
 
 def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(t.invariants.as_tuple() for t in blowup_targets(k))
+    return tuple(t.as_tuple() for t in blowup_targets(k))
 
 
 def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) -> int:

@@ -92,9 +92,9 @@ def test_lehn_vanishing_catches_a_nonzero_coefficient(monkeypatch):
     )
     outcomes = checks.lehn_vanishing(None, 0, 4)
     assert [outcome.ok for outcome in outcomes] == [True, False, True]
-    assert outcomes[1].lines() == [
+    assert outcomes[1].line() == (
         "lehn-vanishing k=3: 1, 1 FAIL (first counterexample: (d,pi,kappa,e)=(14,2,-1,25) -> 1)"
-    ]
+    )
 
 
 def test_s5_polynomial_catches_a_shifted_polynomial(monkeypatch):

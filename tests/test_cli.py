@@ -308,6 +308,21 @@ def test_orders_above_the_maximum_are_refused(capsys, monkeypatch, argv, option)
         main([*argv, str(MAX_ORDER)])
 
 
+@pytest.mark.parametrize("text", ["x", "1.5"])
+@pytest.mark.parametrize("argv,option", ORDER_ARGV)
+def test_non_integer_orders_are_refused(capsys, monkeypatch, argv, option, text):
+    monkeypatch.setattr(cli, "universal_series_set", _no_work)
+    monkeypatch.setattr(cli, "lehn_series", _no_work)
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, text])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"hilbsegre {argv[0]}: error: argument {option}: must be an integer, got {text!r}"
+    )
+
+
 def test_number_evaluates_at_k_whatever_the_default_order(capsys, monkeypatch):
     # no environment variable sets an order: only the flags and their defaults do
     monkeypatch.delenv("SEGRE_DEFAULT_ORDER", raising=False)

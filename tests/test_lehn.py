@@ -237,7 +237,7 @@ def test_vanishing_report_is_all_zero_to_max_order():
     report = verify_lehn_vanishings(MAX_ORDER)
     assert len(report) == 2 * (MAX_ORDER - 1)
     assert [(k, inv) for k, inv, _ in report] == [
-        (k, target.invariants) for k in range(2, MAX_ORDER + 1) for target in blowup_targets(k)
+        (k, target) for k in range(2, MAX_ORDER + 1) for target in blowup_targets(k)
     ]
     assert all(c == 0 for _, _, c in report)
 

@@ -72,9 +72,19 @@ def test_immutable():
         f.coefficients[0] = F(2)
 
 
-def test_equality_up_to_smaller_order():
-    assert TPS([1, 2, 3]) == TPS([1, 2])
-    assert TPS([1, 2, 3]) != TPS([1, 5])
+def test_equality_is_exact_and_truncate_compares_prefixes():
+    assert TPS([1, 2, 3]) != TPS([1, 2])
+    assert TPS([1, 2]) != TPS([1, 2, 3])
+    assert TPS([1, 2], order=2) != TPS([1, 2])
+    assert TPS([1, 2, 3]) == TPS([F(1), F(2), F(3)])
+    # transitive: [1, 2, 3], [1] and [1, 5, 6] are pairwise unequal
+    long, short, other = TPS([1, 2, 3]), TPS([1]), TPS([1, 5, 6])
+    assert long != short and short != other and long != other
+    assert long.truncate(0) == short == other.truncate(0)
+    assert long.truncate(1) != other.truncate(1)
+    assert TPS([1, 2, 3]).truncate(1) == TPS([1, 2])
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(long)
 
 
 def test_rational_wire_format_roundtrip():

@@ -279,7 +279,7 @@ def test_multiplicativity_under_disjoint_union():
 def test_defining_vanishings_hold():
     for k in range(2, 9):
         for target in blowup_targets(k):
-            assert segre_number(target.invariants, k, U8) == 0
+            assert segre_number(target, k, U8) == 0
 
 
 def test_k_factorial_times_sk_is_integer():
@@ -316,22 +316,25 @@ def test_insufficient_order_rejected():
 
 
 def _section_count(target):
-    """h^0 of the twisted bundle: g + 1 - l(l+1)/2."""
-    return target.genus + 1 - target.twist * (target.twist + 1) // 2
+    """h^0 of the twisted bundle: g + 1 - l(l+1)/2, with d = 2g - 2 - l^2 and l = pi."""
+    twist = target.pi
+    genus, odd = divmod(target.d + twist * twist + 2, 2)
+    assert odd == 0, target
+    return genus + 1 - twist * (twist + 1) // 2
 
 
 def test_targets_k5():
     first, second = blowup_targets(5)
-    assert first.invariants.as_tuple() == (28, 4, -1, 25)
-    assert second.invariants.as_tuple() == (29, 5, -1, 25)
+    assert first.as_tuple() == (28, 4, -1, 25)
+    assert second.as_tuple() == (29, 5, -1, 25)
     assert _section_count(first) == 14
     assert _section_count(second) == 14
 
 
 def test_targets_k2():
     first, second = blowup_targets(2)
-    assert first.invariants.as_tuple() == (7, 1, -1, 25)
-    assert second.invariants.as_tuple() == (8, 2, -1, 25)
+    assert first.as_tuple() == (7, 1, -1, 25)
+    assert second.as_tuple() == (8, 2, -1, 25)
 
 
 def test_section_count_is_3k_minus_1():
