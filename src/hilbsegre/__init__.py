@@ -3,9 +3,9 @@
 Three independent constructions of the same numbers, all in exact
 rational arithmetic: the closed K3 formula, four universal series pinned
 down by vanishing constraints, and the Lehn generating function expanded
-via compositional reversion.  The package cross-validates the routes
-against each other; the `hilbsegre` command exposes everything from the
-shell.
+from the integer equation of its variable change.  The package
+cross-validates the routes against each other; the `hilbsegre` command
+exposes everything from the shell.
 """
 
 from .k3 import (

@@ -1,4 +1,4 @@
-"""The Lehn generating function, expanded exactly by series reversion.
+"""The Lehn generating function, expanded exactly from its defining equation.
 
 Lehn's closed form packages every Segre series into one algebraic
 expression in an auxiliary variable w:
@@ -16,13 +16,16 @@ and w tied to z by the substitution
 
     z = w (1 - w) (1 - 2w)^4 / (1 - 6w + 6w^2)^3.
 
-The substitution has a unit linear coefficient, so expanding f in z to
-order N needs exactly the w-expansion to order N and one compositional
-reversion w(z).  Every tuple is then log-linear, f = exp(a l1 + b l2 -
-c l3), where l1, l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6w + 6w^2 at
-w = w(z): no powers and no composition per tuple.  One cache holds the
-substitution, its reversion and the three logs; it is built once, at
-the largest order requested so far, and a lower order reads its prefix.
+Since P(0) = Q(0) = 1 for P = (1 - w)(1 - 2w)^4 and Q = (1 - 6w +
+6w^2)^3, the substitution is w P(w) = z Q(w), and w(z) is its power
+series root: order by order, the z^n coefficients of both sides differ
+in w_n alone, so undetermined coefficients fix w(z) over the integers,
+with no compositional reversion.  Every tuple is then log-linear, f =
+exp(a l1 + b l2 - c l3), where l1, l2, l3 are the logs of 1 - w, 1 -
+2w, 1 - 6w + 6w^2 at w = w(z): no powers and no composition per tuple.
+One cache holds the substitution, w(z) and the three logs; it is built
+once, at the largest order requested so far, and a lower order reads
+its prefix.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
@@ -71,26 +75,39 @@ def lehn_exponents(inv: SurfaceInvariants) -> LehnExponents:
 def change_of_variable(
     N: int,
 ) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
-    """The substitution z(w) expanded to order N, and its reversion w(z)."""
+    """The substitution z(w) expanded to order N, and its inverse w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
     zw, wz = _substitution(N)[:2]
     return TruncatedPowerSeries(zw), TruncatedPowerSeries(wz)
 
 
-def _factors(w: TruncatedPowerSeries) -> tuple[TruncatedPowerSeries, ...]:
-    """1 - w, 1 - 2w and 1 - 6w + 6w^2: the three factors of the closed form."""
-    return 1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w
+#: P and Q of w P(w) = z Q(w), lowest coefficient first.
+_P = (1, -9, 32, -56, 48, -16)
+_Q = (1, -18, 126, -432, 756, -648, 216)
 
 
 @_grown_by_prefix
 def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """z(w), w(z), and l1, l2, l3: the logs of the three factors at w = w(z)."""
-    w = TruncatedPowerSeries.identity(N)
-    f1, f2, f3 = _factors(w)
-    zw = w * f1 * f2.pow(4) * f3.pow(-3)
-    wz = zw.revert()
-    return (zw.coefficients, wz.coefficients, *(f.log().coefficients for f in _factors(wz)))
+    """z(w), w(z), and l1, l2, l3: the logs of the three factors at w = w(z).
+
+    With w_1 .. w_(n-1) known, w_n = [z^(n-1)] Q(w) - sum_(i>=1) p_i [z^n]
+    w^(i+1), where every term on the right reads only known coefficients;
+    the powers w^2 .. w^6 grow by one dot product each per order, so the
+    expansion is O(N^2) integer work.  z(w) = w P / Q is long division.
+    """
+    powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(6)]  # [z^n] w^r
+    for n in range(1, N + 1):
+        for r in range(2, 7):
+            powers[r][n] = sum(map(mul, powers[1][1:n], powers[r - 1][n - 1 : 0 : -1]))
+        known = sum(map(mul, _P[1:], (power[n] for power in powers[2:])))
+        powers[1][n] = sum(q * power[n - 1] for q, power in zip(_Q, powers)) - known
+    ratio = []  # P / Q, with Q_0 = 1
+    for n in range(N):
+        ratio.append((_P[n] if n < len(_P) else 0) - sum(map(mul, _Q[1 : n + 1], reversed(ratio))))
+    w, square = (TruncatedPowerSeries(powers[r]) for r in (1, 2))
+    logs = (f.log().coefficients for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * square))
+    return (TruncatedPowerSeries([0, *ratio]).coefficients, w.coefficients, *logs)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:

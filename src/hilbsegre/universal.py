@@ -28,7 +28,8 @@ and the second, at a fixed offset delta, is that probe times exp(delta . log):
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2), and its logs are kept at the largest order requested so far.
-It runs on integer numerators of j log_j and the exp kernel of `series`.
+It runs on integer numerators of j log_j and the exp kernel of `series`,
+and solves each 2 x 2 step by exact integer division.
 `determine_AB(N)` and `determine_CD(N)` are views of the set that
 `universal_series_set(N)` exponentiates from them, not solves of their own.
 The solve and its log layout are private to this module: other modules
@@ -40,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, gcd
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_of_combination
 from .series import _binomial_dot, _grown_by_prefix
@@ -168,8 +169,10 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
     constant part nu of its equation.  Only w runs the exp kernel: exp(L_v)
     is exp(L_w) M with M = exp((v - w) . log), which grows by kernel steps
     and is rebuilt when v - w or den changes.  The kernel returns both
-    over the same scale den^n n!, so nu_v is one `_binomial_dot` of their
-    numerators.  Returns den, grown with all of G where a value needs it.
+    over the same scale s = den^k k!, so nu_v is one `_binomial_dot` of their
+    numerators.  Cramer's rule then gives each k den log_k as num / d with
+    d = det s, all integers: the entry is one exact division once den (and
+    all of G) has grown by |d| / gcd(num, d).  Returns den.
     """
     i, j = slots
     key, c, m = None, [], [1]  # M as m_n / (den^n n!), c its kernel weights
@@ -188,15 +191,15 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
             if t:
                 g = [a + t * x for a, x in zip(g, row)]
         e, scales = _exp_numerators(g, den)  # e_t over scales[t] = den^t t!, as m_t
-        nu, nu_v = Fraction(e[k], scales[k]), Fraction(_binomial_dot(e, m), scales[k])
-        det = w[i] * v[j] - w[j] * v[i]
-        solved = {i: (w[j] * nu_v - v[j] * nu) / det, j: (v[i] * nu - w[i] * nu_v) / det}
-        for slot, log_k in solved.items():
-            growth = (k * den * log_k).denominator
+        e_k, e_v = e[k], _binomial_dot(e, m)  # nu = e_k / scales[k], nu_v likewise
+        d = (w[i] * v[j] - w[j] * v[i]) * scales[k]
+        for slot, a, b in ((i, w[j], v[j]), (j, -w[i], -v[i])):
+            num = k * den * (a * e_v - b * e_k)  # k den log_k = num / d
+            growth = abs(d) // gcd(num, d)
             if growth != 1:
                 den *= growth
                 G[:] = [[x * growth for x in row] for row in G]
-            G[slot][k] = (k * den * log_k).numerator
+            G[slot][k] = num * growth // d
         del c[k - 1 :], m[k:]  # c_k and m_k read the unknowns as 0: regrown next step
     return den
 

@@ -18,7 +18,12 @@ kernel clears denominators and runs over integers:
   inverse power of the divisor;
 - `fraction_probe_and_solve`: the engine's vanishing solve on `Fraction`
   logs with `fraction_exp` probes, where the engine keeps integer
-  numerators of j log_j and calls the integer exp kernel.
+  numerators of j log_j, calls the integer exp kernel and solves each
+  step by exact integer division.
+
+`reverted_substitution` expands Lehn's change of variable z(w) from its
+closed form with powers and products, and w(z) by Lagrange reversion,
+where `lehn` solves w P(w) = z Q(w) by undetermined integer coefficients.
 """
 
 from __future__ import annotations
@@ -116,6 +121,19 @@ def fraction_probe_and_solve(logs, slots, vanishings, N: int) -> None:
         det = w[i] * v[j] - w[j] * v[i]
         logs[i][k] = (w[j] * nu_v - v[j] * nu) / det
         logs[j][k] = (v[i] * nu - w[i] * nu_v) / det
+
+
+def reverted_substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
+    """z(w), w(z) and the logs of 1 - w, 1 - 2w, 1 - 6w + 6w^2 at w = w(z).
+
+    z(w) = w (1 - w) (1 - 2w)^4 (1 - 6w + 6w^2)^(-3) is built by series
+    powers and products and reverted by `TruncatedPowerSeries.revert`.
+    """
+    w = TruncatedPowerSeries.identity(N)
+    zw = w * (1 - w) * (1 - 2 * w).pow(4) * (1 - 6 * w + 6 * w * w).pow(-3)
+    wz = zw.revert()
+    factors = (1 - wz, 1 - 2 * wz, 1 - 6 * wz + 6 * wz * wz)
+    return (zw.coefficients, wz.coefficients, *(f.log().coefficients for f in factors))
 
 
 def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:

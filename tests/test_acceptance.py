@@ -18,6 +18,7 @@ from hilbsegre import (
     determine_b_s1,
     extract_lehn_universal,
     generalized_binomial,
+    lehn_series,
     segre_number,
     segre_series,
     universal_series_set,
@@ -123,5 +124,13 @@ def test_criterion_11_k3_family_reach_at_order_128():
         U = universal_series_set(128)
         for g in (1, 5, 40):
             series = segre_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), 128, U)
+            for k in range(129):
+                assert series[k] == closed_segre(k, g), (k, g)
+
+
+def test_criterion_12_lehn_k3_reach_at_order_128():
+    with _Timer("12 lehn-k3-reach-128", 2.0):
+        for g in (1, 5, 40):
+            series = lehn_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), 128)
             for k in range(129):
                 assert series[k] == closed_segre(k, g), (k, g)

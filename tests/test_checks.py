@@ -183,9 +183,16 @@ def _fault_in_w(monkeypatch):
     def substitution(N):
         zw, wz, *_ = build(N)
         w = TruncatedPowerSeries(_bumped(wz, 2))
-        return (zw, w.coefficients, *(f.log().coefficients for f in lehn._factors(w)))
+        factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
+        return (zw, w.coefficients, *(f.log().coefficients for f in factors))
 
     monkeypatch.setattr(lehn, "_substitution", substitution)
+
+
+def _fault_in_substitution_polynomial(monkeypatch):
+    # Q's w^3 coefficient one too large, in a fresh build: w(z) moves first at z^4
+    monkeypatch.setattr(lehn, "_substitution", lehn._substitution.__wrapped__)
+    monkeypatch.setattr(lehn, "_Q", _bumped(lehn._Q, 3))
 
 
 def _fault_in_exponent(monkeypatch):
@@ -210,6 +217,7 @@ COMPONENT_FAULTS = {
     "C/D": (_fault_in_blowup_targets, "s5-polynomial"),
     "b-sequence": (_fault_in_b, "b-vs-bprime"),
     "w(z)": (_fault_in_w, "lehn-vanishing k=2"),
+    "substitution polynomial": (_fault_in_substitution_polynomial, "lehn-vanishing k=4"),
     "Lehn exponent": (_fault_in_exponent, "engine-vs-lehn-grid"),
     "closed formula": (_fault_in_closed_formula, "closed-vs-recursion"),
 }

@@ -16,6 +16,7 @@ import pytest
 import hilbsegre
 from hilbsegre import (
     SurfaceInvariants,
+    TruncatedPowerSeries,
     blowup_targets,
     change_of_variable,
     closed_segre,
@@ -32,6 +33,7 @@ from hilbsegre import (
     verify_lehn_vanishings,
 )
 from hilbsegre.cli import MAX_ORDER
+from tests._oracles import reverted_substitution
 
 U8 = universal_series_set(8)
 
@@ -85,15 +87,31 @@ def test_reverted_substitution_prefix():
 
 def test_substitution_roundtrip():
     zw, wz = change_of_variable(10)
-    from hilbsegre import TruncatedPowerSeries
-
     identity = TruncatedPowerSeries.identity(10)
     assert zw.compose(wz).coefficients == identity.coefficients
     assert wz.compose(zw).coefficients == identity.coefficients
 
 
+@pytest.mark.parametrize("N", (1, 2, 8, 32, 64, 128))
+def test_substitution_equals_the_reverted_closed_form(N):
+    # undetermined integer coefficients of w P(w) = z Q(w) against powers and reversion
+    built = lehn._substitution.__wrapped__(N)
+    assert built == reverted_substitution(N)
+    assert all(type(c) is F for part in built for c in part)
+
+
+def test_substitution_needs_no_reversion_power_composition_or_division(monkeypatch):
+    expected = reverted_substitution(24)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the substitution called a series kernel it does not need")
+
+    for name in ("revert", "pow", "compose", "__truediv__"):
+        monkeypatch.setattr(TruncatedPowerSeries, name, refuse)
+    assert lehn._substitution.__wrapped__(24) == expected
+
+
 def test_lower_order_reads_prefix_of_larger_build():
-    from hilbsegre import TruncatedPowerSeries
     from hilbsegre.lehn import _substitution
     from hilbsegre.universal import _universal_logs
 

@@ -154,14 +154,21 @@ def test_integer_solve_equals_fraction_solve(N):
         assert all(type(c) is F for c in log), name
 
 
-def test_integer_solve_grows_the_shared_denominator():
-    # j log_j stays integral for both real families; this one needs denominators
+@pytest.mark.parametrize(
+    "family",
+    (
+        lambda k: ((1, 0, 0, k), (k, 0, 0, 1)),  # determinant 1 - k^2 < 0
+        lambda k: ((k, 0, 0, 1), (1, 0, 0, k)),  # determinant k^2 - 1 > 0
+    ),
+    ids=("negative determinant", "positive determinant"),
+)
+def test_integer_solve_grows_the_shared_denominator(family):
+    # j log_j stays integral for both real families; these two need denominators
     N = 6  # den grows to 60480
-    family = lambda k: ((1, 0, 0, k), (k, 0, 0, 1))  # determinant 1 - k^2
     G = [[0] * (N + 1) for _ in range(4)]
     G[0][1] = 1
     den = universal._probe_and_solve(G, 1, (0, 3), family, N)
-    assert den > 1
+    assert den == 60480
     assert all(type(x) is int for row in G for x in row)
     logs = [[F(0)] * (N + 1) for _ in range(4)]
     logs[0][1] = F(1)
