@@ -36,8 +36,8 @@ DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
 #: The dearest one at order N, `verify --max-order N --max-k N`, took
-#: 7.0 s at N = 48, 20 s at 64, 57 s at 96 and 208 s at 128 on a 2-vCPU
-#: machine; its kernel-roundtrips check sets the pace at 128.
+#: 5.5-5.9 s at N = 48, 13-14 s at 64, 38 s at 96 and 138 s at 128 on a
+#: 2-vCPU machine; its kernel-roundtrips check sets the pace at 128.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

@@ -105,9 +105,11 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     ratio = []  # P / Q, with Q_0 = 1
     for n in range(N):
         ratio.append((_P[n] if n < len(_P) else 0) - sum(map(mul, _Q[1 : n + 1], reversed(ratio))))
-    w, square = (TruncatedPowerSeries(powers[r]) for r in (1, 2))
-    logs = (f.log().coefficients for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * square))
-    return (TruncatedPowerSeries([0, *ratio]).coefficients, w.coefficients, *logs)
+    one, w, square = powers[:3]  # 1 - w, 1 - 2w and 1 - 6w + 6w^2 are 1 + a w + b w^2
+    weights = ((-1, 0), (-2, 0), (-6, 6))
+    factors = ([u + a * x + b * y for u, x, y in zip(one, w, square)] for a, b in weights)
+    logs = (TruncatedPowerSeries(f).log().coefficients for f in factors)
+    return (tuple(map(Fraction, [0, *ratio])), tuple(map(Fraction, w)), *logs)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:

@@ -17,13 +17,13 @@ enough to expand algebraic generating functions exactly.  Only the
 product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
 power of the divisor) and composition are built from them.  The exp
-kernel `_exp_numerators` and its step `_binomial_dot` also serve the
-engine's vanishing solve.  The kernel scales e_n by exactly den^n n!
-for the den it is given; `exp` passes the denominator of j f_j, which
-for the log of a generic rational series grows like lcm(1..N), so a
-power of such a series costs more than a direct recurrence would at
-high order (at N = 128, about 1.5x on the seeded round trips); the CLI
-never goes past order 64.
+kernel `_exp_numerators` and its step `_exp_step` also serve the
+engine's vanishing solve.  Up to order K the kernel scales E_n by
+exactly K! den^n for the den it is given: one integer dot product and
+one exact division per coefficient.  `exp` passes the denominator of
+j f_j, which for the log of a generic rational series grows like
+lcm(1..N), so a power of such a series costs more than a direct
+recurrence would at high order; the CLI never goes past order 64.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
-from math import gcd, lcm
-from operator import add, mul
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -248,8 +248,9 @@ class TruncatedPowerSeries:
         f, den = _scaled(self._coefficients)
         g = [j * x for j, x in enumerate(f)]
         common = gcd(den, *g)  # a log's j f_j has a far smaller denominator than its f_j
-        e, scales = _exp_numerators([x // common for x in g], den // common)
-        return TruncatedPowerSeries(map(Fraction, e, scales))
+        den //= common
+        h = _exp_numerators([x // common for x in g], den)  # E_n = h_n / (K! den^n), K! = h_0
+        return TruncatedPowerSeries(Fraction(x, h[0] * den**n) for n, x in enumerate(h))
 
     def log(self) -> "TruncatedPowerSeries":
         """Logarithm of a series with constant term exactly 1.
@@ -358,35 +359,29 @@ def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
     return [sum(map(mul, f[: k + 1], g[k::-1])) for k in range(n + 1)]
 
 
-_PASCAL = {0: [1]}  # row r: C(r, 0) .. C(r, r); rows are only ever added, by `_binomial_dot`
+def _exp_step(c: list[int], h: list[int]) -> int:
+    """h_n from n h_n = sum_j c_j h_(n-j), n = len(h) and c = c_1 .. c_n: one exp kernel step."""
+    return sum(map(mul, c, reversed(h))) // len(h)
 
 
-def _binomial_dot(c: list[int], e: list[int]) -> int:
-    """sum_i C(n, i) c[i] e[n - i] for n = len(e) - 1: one step of `_exp_numerators`.
+def _exp_numerators(g: list[int], den: int) -> list[int]:
+    """exp(f) as E_n = h[n] / (K! den^n), for K = len(g) - 1, f0 = 0 and j f_j = g[j] / den.
 
-    With c = c_1 .. c_(n+1) this is the next exp numerator e_(n+1); with c
-    and e two exp-scaled sequences it is the z^n numerator of their product.
+    From n E_n = sum_j j f_j E_(n-j), the numerators h_n = K! den^n E_n
+    satisfy n h_n = sum_j c_j h_(n-j) over the integers c_j = den^(j-1) g_j:
+    one `_exp_step` per n, the step that also grows the vanishing solve's
+    twin series.  The division by n is exact because h_n = (K!/n!) e_n for
+    e_n = den^n n! E_n, and e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an
+    integer by induction.  The scale is exactly K! den^n, whatever g; a
+    caller that wants h_n short divides den and g by their gcd first.
     """
-    for r in range(len(_PASCAL), len(e)):  # setdefault: a concurrent grower adds the same row
-        _PASCAL.setdefault(r, [1, *map(add, _PASCAL[r - 1], _PASCAL[r - 1][1:]), 1])
-    return sum(map(mul, map(mul, _PASCAL[len(e) - 1], c), reversed(e)))
-
-
-def _exp_numerators(g: list[int], den: int) -> tuple[list[int], list[int]]:
-    """exp(f) as E_n = e[n] / scales[n], for f0 = 0 and j f_j = g[j] / den.
-
-    From E' = f' E, e_n = den^n n! E_n = sum_j C(n-1, j-1) c_j e_{n-j} over
-    the integers c_j = (j-1)! den^(j-1) j f_j: one `_binomial_dot` per n, the
-    step that also grows the vanishing solve's twin series.  The scale is
-    exactly scales[n] = den^n n!, whatever g; a caller that wants e_n short
-    divides den and g by their gcd first.
-    """
-    c, e, scales = [], [1], [1]  # c_1 .. c_n, and e_n over scales[n] = den^n n!
-    for n in range(1, len(g)):
-        c.append(scales[-1] * g[n])
-        e.append(_binomial_dot(c, e))
-        scales.append(scales[-1] * den * n)
-    return e, scales
+    c, h = [], [factorial(len(g) - 1)]  # c_1 .. c_n, and h_0 .. h_n
+    power = 1  # den^(n-1)
+    for x in g[1:]:
+        c.append(power * x)
+        h.append(_exp_step(c, h))
+        power *= den
+    return h
 
 
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:

@@ -27,11 +27,12 @@ and the second, at a fixed offset delta, is that probe times exp(delta . log):
   log C_k and log D_k (determinant 1, delta = (1, 1, 0, 0)).
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
-O(z^2), and its logs are kept at the largest order requested so far.
-It runs on integer numerators of j log_j and the exp kernel of `series`,
-and solves each 2 x 2 step by exact integer division.
-`determine_AB(N)` and `determine_CD(N)` are views of the set that
-`universal_series_set(N)` exponentiates from them, not solves of their own.
+O(z^2).  It runs on integer numerators of j log_j and the exp kernel of
+`series` (the probe at step k over k! den^k, the second target's twin
+series over N! den^n), and solves each 2 x 2 step by exact integer
+division.  The same build exponentiates the solved rows, and it is kept
+at the largest order requested so far: `universal_series_set(N)` and
+its views `determine_AB(N)` and `determine_CD(N)` read it with no exp.
 The solve and its log layout are private to this module: other modules
 read the engine through `universal_series_set` and `segre_series`.
 """
@@ -42,9 +43,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
+from operator import mul
 
 from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_of_combination
-from .series import _binomial_dot, _grown_by_prefix
+from .series import _exp_step, _grown_by_prefix
 
 __all__ = [
     "SurfaceInvariants",
@@ -166,33 +168,33 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
     Fills G[i][k] and G[j][k], (i, j) = `slots`, so that exp(sum of
     weight * log) has z^k coefficient 0 at both tuples w, v of
     `vanishings(k)`.  The unknown entries start at 0, so a probe reads the
-    constant part nu of its equation.  Only w runs the exp kernel: exp(L_v)
-    is exp(L_w) M with M = exp((v - w) . log), which grows by kernel steps
-    and is rebuilt when v - w or den changes.  The kernel returns both
-    over the same scale s = den^k k!, so nu_v is one `_binomial_dot` of their
-    numerators.  Cramer's rule then gives each k den log_k as num / d with
-    d = det s, all integers: the entry is one exact division once den (and
-    all of G) has grown by |d| / gcd(num, d).  Returns den.
+    constant part nu of its equation.  Only w runs the exp kernel, whose
+    numerators at step k are over k! den^t.  exp(L_v) is exp(L_w) M with
+    M = exp((v - w) . log), kept over N! den^t, grown by one `_exp_step`
+    per order and rebuilt when v - w or den changes; so nu_v is one dot
+    product of the two numerator rows, divided exactly by N!.  Cramer's
+    rule then gives each k den log_k as num / d with d = det k! den^k,
+    all integers: the entry is one exact division once den (and all of
+    G) has grown by |d| / gcd(num, d).  Returns den.
     """
     i, j = slots
-    key, c, m = None, [], [1]  # M as m_n / (den^n n!), c its kernel weights
+    key = None  # (v - w, den) of the twin M = m_t / (N! den^t), with kernel weights c
     for k in range(2, N + 1):
         w, v = vanishings(k)
         delta = tuple(b - a for a, b in zip(w, v))
         if key != (delta, den):
-            key, c, m = (delta, den), [], [1]
+            key, c, m = (delta, den), [], [factorial(N)]
         while len(m) <= k:
             n = len(m)
-            entry = sum(t * row[n] for t, row in zip(delta, G))
-            c.append(factorial(n - 1) * den ** (n - 1) * entry)
-            m.append(_binomial_dot(c, m))
+            c.append(den ** (n - 1) * sum(t * row[n] for t, row in zip(delta, G)))
+            m.append(_exp_step(c, m))
         g = [0] * (k + 1)
         for t, row in zip(w, G):  # the weighted sum, one row at a time
             if t:
                 g = [a + t * x for a, x in zip(g, row)]
-        e, scales = _exp_numerators(g, den)  # e_t over scales[t] = den^t t!, as m_t
-        e_k, e_v = e[k], _binomial_dot(e, m)  # nu = e_k / scales[k], nu_v likewise
-        d = (w[i] * v[j] - w[j] * v[i]) * scales[k]
+        e = _exp_numerators(g, den)  # e_t over k! den^t
+        e_k, e_v = e[k], sum(map(mul, e, reversed(m))) // m[0]  # nu_v over k! den^k too
+        d = (w[i] * v[j] - w[j] * v[i]) * e[0] * den**k
         for slot, a, b in ((i, w[j], v[j]), (j, -w[i], -v[i])):
             num = k * den * (a * e_v - b * e_k)  # k den log_k = num / d
             growth = abs(d) // gcd(num, d)
@@ -206,13 +208,15 @@ def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) ->
 
 @_grown_by_prefix
 def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """log A, log C, log D, log B to order N from the seeds and both families."""
+    """log A, log C, log D, log B to order N from the seeds and both families, then A, C, D, B."""
     G = [[0] * (N + 1) for _ in range(4)]
     if N >= 1:
         G[0][1] = 1  # log A = z + O(z^2)
     den = _probe_and_solve(G, 1, (0, 3), _k3_vanishings, N)
     den = _probe_and_solve(G, den, (1, 2), _blowup_vanishings, N)
-    return tuple(tuple(Fraction(x, (n or 1) * den) for n, x in enumerate(row)) for row in G)
+    logs = tuple(tuple(Fraction(x, (n or 1) * den) for n, x in enumerate(row)) for row in G)
+    scales = [factorial(N) * den**n for n in range(N + 1)]
+    return logs + tuple(tuple(map(Fraction, _exp_numerators(row, den), scales)) for row in G)
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
@@ -228,17 +232,14 @@ def determine_CD(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
 
 
 def universal_series_set(N: int) -> UniversalSeriesSet:
-    """The series set at truncation order N, exponentiated from the cached logs.
-
-    exp and log are exact inverses, so the set is handed those logs.
-    """
+    """The series set at truncation order N, read with its logs from the solve's cache."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    logs = _universal_logs(N)
+    parts = _universal_logs(N)
     U = UniversalSeriesSet(
-        **{name: TruncatedPowerSeries(log).exp() for name, log in zip(UNIT_TUPLES, logs)}
+        **{name: TruncatedPowerSeries(series) for name, series in zip(UNIT_TUPLES, parts[4:])}
     )
-    vars(U)["_logs"] = logs
+    vars(U)["_logs"] = parts[:4]
     return U
 
 

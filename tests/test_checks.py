@@ -142,15 +142,18 @@ def _bumped(values, index):
 
 
 def _fault_in_log(name):
-    """The engine's log of series `name`, one too large at z^2."""
+    """The engine's log of series `name`, one too large at z^2, and the series its exp."""
 
     def install(monkeypatch):
         solve, slot = universal._universal_logs, list(UNIT_TUPLES).index(name)
-        monkeypatch.setattr(
-            universal,
-            "_universal_logs",
-            lambda N: tuple(_bumped(log, 2) if i == slot else log for i, log in enumerate(solve(N))),
-        )
+
+        def faulty(N):
+            parts = list(solve(N))
+            parts[slot] = _bumped(parts[slot], 2)
+            parts[4 + slot] = TruncatedPowerSeries(parts[slot]).exp().coefficients
+            return tuple(parts)
+
+        monkeypatch.setattr(universal, "_universal_logs", faulty)
 
     return install
 

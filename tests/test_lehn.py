@@ -128,6 +128,15 @@ def test_lower_order_reads_prefix_of_larger_build():
     assert fresh[2:] == fresh_logs
 
 
+def test_substitution_logs_equal_the_series_construction():
+    # the three factors are built on the integer rows of w and w^2; the
+    # reference builds them with series arithmetic, w^2 as a product
+    built = lehn._substitution.__wrapped__(64)
+    w = TruncatedPowerSeries(built[1])
+    factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
+    assert built[2:] == tuple(f.log().coefficients for f in factors)
+
+
 def test_lehn_route_reads_no_engine(monkeypatch):
     build = lehn._substitution.__wrapped__
     inv = SurfaceInvariants(3, -1, 2, 13)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import doctest
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -355,12 +356,27 @@ def test_exp_scaling_matches_fraction_reference(seed):
             assert f.exp().coefficients == fraction_exp(f).coefficients, (seed, order)
 
 
-def test_exp_kernel_scales_by_exactly_den_to_the_n_times_n_factorial():
+def test_exp_kernel_scales_by_exactly_order_factorial_times_den_to_the_n():
     # j f_j = (0, 2, 4) / 6 share the factor 2, and the kernel keeps it:
-    # only `exp` reduces, so the vanishing solve can read any probe over den^n n!
-    e, scales = hilbsegre.series._exp_numerators([0, 2, 4], 6)
-    assert scales == [6**n * math.factorial(n) for n in range(3)]
-    assert e == [1, 2, 28]  # exp(z/3 + z^2/3) = 1 + z/3 + 7/18 z^2
+    # only `exp` reduces, so the vanishing solve can read any probe over K! den^n
+    h = hilbsegre.series._exp_numerators([0, 2, 4], 6)
+    assert h == [2, 4, 28]  # over [2, 12, 72]: exp(z/3 + z^2/3) = 1 + z/3 + 7/18 z^2
+    assert [F(x, math.factorial(2) * 6**n) for n, x in enumerate(h)] == [1, F(1, 3), F(7, 18)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exp_kernel_equals_fraction_exp_over_its_exact_scale(seed):
+    # unreduced inputs too: g and den share a factor that the kernel must not drop
+    rng = random.Random(200 + seed)
+    for den in (1, 2, 12, MERSENNE_61):
+        for order, shared in itertools.product((0, 1, 2, 7, 16), (1, den)):
+            g = [0] + [shared * rng.randint(-40, 40) for _ in range(order)]
+            h = hilbsegre.series._exp_numerators(g, den)
+            assert len(h) == order + 1 and h[0] == math.factorial(order)
+            f = TPS([0] + [F(x, j * den) for j, x in enumerate(g) if j])
+            expected = fraction_exp(f).coefficients
+            assert tuple(F(x, h[0] * den**n) for n, x in enumerate(h)) == expected, (den, order)
+
 
 @pytest.mark.parametrize("seed", range(4))
 def test_pow_and_div_match_fraction_references(seed):
@@ -548,7 +564,7 @@ def test_prop_revert_matches_undetermined_reference(linear, tail):
 # -- the integer kernels stay private to the series module -----------------
 
 
-INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators", "_binomial_dot"}
+INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators", "_exp_step"}
 
 
 def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_solve():

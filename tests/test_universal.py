@@ -33,6 +33,7 @@ from hilbsegre import (
     universal_series_set,
 )
 from hilbsegre.cli import MAX_ORDER
+from hilbsegre.series import _grown_by_prefix
 from hilbsegre.universal import UNIT_TUPLES
 
 from tests._oracles import fraction_pow, fraction_probe_and_solve
@@ -129,8 +130,9 @@ def test_series_set_reads_prefix_of_larger_build():
     U6 = universal_series_set(6)
     fresh = universal._universal_logs.__wrapped__(6)
     assert U6.order == 6
-    assert U6._logs == fresh
-    A, C, D, B = (TruncatedPowerSeries(log).exp().coefficients for log in fresh)
+    assert U6._logs == fresh[:4]
+    A, C, D, B = (TruncatedPowerSeries(log).exp().coefficients for log in fresh[:4])
+    assert fresh[4:] == (A, C, D, B)
     assert (U6.A.coefficients, U6.B.coefficients, U6.C.coefficients, U6.D.coefficients) == (A, B, C, D)
 
 
@@ -146,12 +148,14 @@ def _oracle_logs(N: int) -> tuple[tuple[F, ...], ...]:
 
 @pytest.mark.parametrize("N", (0, 1, 2, 3, 12, 32, 64))
 def test_integer_solve_equals_fraction_solve(N):
-    logs = universal._universal_logs.__wrapped__(N)
+    parts = universal._universal_logs.__wrapped__(N)
+    logs, series = parts[:4], parts[4:]
     expected = _oracle_logs(N)
-    assert len(logs) == 4
-    for name, log, reference in zip(UNIT_TUPLES, logs, expected):
+    assert len(logs) == len(series) == 4
+    for name, log, exp, reference in zip(UNIT_TUPLES, logs, series, expected):
         assert log == reference, name
         assert all(type(c) is F for c in log), name
+        assert exp == TruncatedPowerSeries(log).exp().coefficients, name
 
 
 @pytest.mark.parametrize(
@@ -191,8 +195,9 @@ def test_twin_probe_rescales_after_the_denominator_grows():
     assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
 
 
-def test_solve_runs_one_exp_per_step_and_family(monkeypatch):
-    # the second target of each step is read off the first probe, not exponentiated
+def test_solve_runs_one_exp_per_step_and_family_and_the_set_four_per_build(monkeypatch):
+    # the second target of each step is read off the first probe, not
+    # exponentiated; the set's four series come from the build, not from each call
     N, calls = 32, []
     kernel = universal._exp_numerators
 
@@ -201,8 +206,27 @@ def test_solve_runs_one_exp_per_step_and_family(monkeypatch):
         return kernel(g, den)
 
     monkeypatch.setattr(universal, "_exp_numerators", spy)
-    universal._universal_logs.__wrapped__(N)
-    assert len(calls) <= 2 * N
+    G = [[0] * (N + 1) for _ in range(4)]
+    G[0][1] = 1
+    den = universal._probe_and_solve(G, 1, (0, 3), universal._k3_vanishings, N)
+    assert calls == [k + 1 for k in range(2, N + 1)]  # one probe to z^k per step k
+    universal._probe_and_solve(G, den, (1, 2), universal._blowup_vanishings, N)
+    assert len(calls) == 2 * (N - 1)
+    calls.clear()
+    build = universal._universal_logs.__wrapped__
+    monkeypatch.setattr(universal, "_universal_logs", _grown_by_prefix(build))  # an empty cache
+    universal_series_set(N)
+    assert len(calls) == 2 * (N - 1) + 4
+    assert calls[-4:] == [N + 1] * 4  # A, C, D and B, once each
+    calls.clear()
+
+    def refuse(self):
+        raise RuntimeError("the series set exponentiated on a call")
+
+    monkeypatch.setattr(TruncatedPowerSeries, "exp", refuse)
+    assert universal_series_set(N) == universal_series_set(N)
+    assert universal_series_set(N // 2).order == N // 2
+    assert calls == []
 
 
 def test_series_set_equality_compares_the_order():
