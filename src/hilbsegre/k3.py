@@ -51,14 +51,15 @@ __all__ = [
 def generalized_binomial(n: int, k: int) -> ExactRational:
     """Falling-factorial binomial n(n-1)...(n-k+1)/k!, any integer n.
 
-    Always 1 for k = 0, and 0 exactly when 0 <= n < k.
+    Always 1 for k = 0, and 0 exactly when 0 <= n < k.  For integer n
+    the falling factorial is divisible by k!, so the quotient is exact.
     """
     if k < 0:
         raise ValueError("binomial lower index must be non-negative")
     num = 1
     for j in range(k):
         num *= n - j
-    return Fraction(num, factorial(k))
+    return Fraction(num // factorial(k))
 
 
 def closed_segre(k: int, g: int) -> ExactRational:

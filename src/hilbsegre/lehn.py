@@ -23,9 +23,11 @@ in w_n alone, so undetermined coefficients fix w(z) over the integers,
 with no compositional reversion.  Every tuple is then log-linear, f =
 exp(a l1 + b l2 - c l3), where l1, l2, l3 are the logs of 1 - w, 1 -
 2w, 1 - 6w + 6w^2 at w = w(z): no powers and no composition per tuple.
-One cache holds the substitution, w(z) and the three logs; it is built
-once, at the largest order requested so far, and a lower order reads
-its prefix.
+At each of `UNIT_TUPLES`, 12 (a, b, -c) is an integer vector, so the
+four unit series A, C, D, B are exponentiated from the logs on
+integers.  One cache holds the substitution, w(z), the three logs and
+the four unit series; it is built once, at the largest order requested
+so far, and a lower order reads its prefix.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -37,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination, _grown_by_prefix
+from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
+from .series import _exps_of_integer_combinations, _grown_by_prefix
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
 __all__ = [
@@ -86,15 +89,23 @@ def change_of_variable(
 _P = (1, -9, 32, -56, 48, -16)
 _Q = (1, -18, 126, -432, 756, -648, 216)
 
+#: 12 (a, b, -c) at each of `UNIT_TUPLES`: integers, since 12 chi and 12 c are.
+_UNIT_WEIGHTS = {
+    name: tuple(int(12 * x) for x in (exps.a, exps.b, -exps.c))
+    for name, exps in zip(UNIT_TUPLES, map(lehn_exponents, UNIT_TUPLES.values()))
+}
+
 
 @_grown_by_prefix
 def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
-    """z(w), w(z), and l1, l2, l3: the logs of the three factors at w = w(z).
+    """z(w), w(z), l1, l2, l3 (the logs of the three factors at w = w(z)), then A, C, D, B.
 
     With w_1 .. w_(n-1) known, w_n = [z^(n-1)] Q(w) - sum_(i>=1) p_i [z^n]
     w^(i+1), where every term on the right reads only known coefficients;
     the powers w^2 .. w^6 grow by one dot product each per order, so the
     expansion is O(N^2) integer work.  z(w) = w P / Q is long division.
+    The unit series are exp(w . (l1, l2, l3) / 12) for the weights w of
+    `_UNIT_WEIGHTS`, exponentiated on integers.
     """
     powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(6)]  # [z^n] w^r
     for n in range(1, N + 1):
@@ -108,8 +119,9 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     one, w, square = powers[:3]  # 1 - w, 1 - 2w and 1 - 6w + 6w^2 are 1 + a w + b w^2
     weights = ((-1, 0), (-2, 0), (-6, 6))
     factors = ([u + a * x + b * y for u, x, y in zip(one, w, square)] for a, b in weights)
-    logs = (TruncatedPowerSeries(f).log().coefficients for f in factors)
-    return (tuple(map(Fraction, [0, *ratio])), tuple(map(Fraction, w)), *logs)
+    logs = [TruncatedPowerSeries(f).log().coefficients for f in factors]
+    units = _exps_of_integer_combinations(logs, _UNIT_WEIGHTS.values(), 12)
+    return (tuple(map(Fraction, [0, *ratio])), tuple(map(Fraction, w)), *logs, *units)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
@@ -119,16 +131,20 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     if N == 0:
         return TruncatedPowerSeries.one(0)
     exps = lehn_exponents(inv)
-    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:]), N)
+    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:5]), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:
     """The four universal series read off the multiplicative form.
 
-    Evaluating the Lehn function at each of `UNIT_TUPLES` isolates one
-    factor at a time.
+    The Lehn function at each of `UNIT_TUPLES` isolates one factor at a
+    time.  The four are built with the substitution, so this reads the
+    cache and runs no exp.
     """
-    return UniversalSeriesSet(**{name: lehn_series(inv, N) for name, inv in UNIT_TUPLES.items()})
+    if N < 0:
+        raise ValueError("order must be non-negative")
+    units = _substitution(N)[5:]
+    return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, map(TruncatedPowerSeries, units))))
 
 
 def verify_lehn_vanishings(

@@ -18,9 +18,11 @@ product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
 power of the divisor) and composition are built from them.  The exp
 kernel `_exp_numerators` and its step `_exp_step` also serve the
-engine's vanishing solve.  Up to order K the kernel scales E_n by
-exactly K! den^n for the den it is given: one integer dot product and
-one exact division per coefficient.  `exp` passes the denominator of
+engine's vanishing solve, and `_exps_of_integer_combinations` runs the
+kernel on integer combinations of `Fraction` logs for the Lehn route's
+unit series.  Up to order K the kernel scales E_n by exactly K! den^n
+for the den it is given: one integer dot product and one exact
+division per coefficient.  `exp` passes the denominator of
 j f_j, which for the log of a generic rational series grows like
 lcm(1..N), so a power of such a series costs more than a direct
 recurrence would at high order; the CLI never goes past order 64.
@@ -394,6 +396,26 @@ def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(
         [sum((w * log[n] for w, log in terms), Fraction(0)) for n in range(order + 1)]
     ).exp()
+
+
+def _exps_of_integer_combinations(logs, weights, divisor: int) -> list[tuple[Fraction, ...]]:
+    """exp(sum_i w_i log_i / divisor) for each integer weight vector w, on the logs' order.
+
+    j log_j is put over one denominator once for all the vectors; each
+    vector then costs one integer dot product per coefficient and one run
+    of `_exp_numerators`, reduced by the gcd as `exp` does.
+    """
+    size = len(logs[0])
+    flat, den = _scaled([j * c for log in logs for j, c in enumerate(log)])
+    columns = list(zip(*(flat[i : i + size] for i in range(0, len(flat), size))))
+    out = []
+    for weight in weights:
+        g = [sum(map(mul, weight, column)) for column in columns]
+        common = gcd(den * divisor, *g)
+        scale = den * divisor // common
+        h = _exp_numerators([x // common for x in g], scale)  # E_n = h_n / (K! scale^n)
+        out.append(tuple(Fraction(x, h[0] * scale**n) for n, x in enumerate(h)))
+    return out
 
 
 def _grown_by_prefix(build):

@@ -134,3 +134,8 @@ def test_criterion_12_lehn_k3_reach_at_order_128():
             series = lehn_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), 128)
             for k in range(129):
                 assert series[k] == closed_segre(k, g), (k, g)
+
+
+def test_criterion_13_lehn_universal_series_at_order_128():
+    with _Timer("13 lehn-universal-128", 3.0):
+        assert extract_lehn_universal(128) == universal_series_set(128)

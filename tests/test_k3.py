@@ -9,6 +9,7 @@ b_3 = 56 and b_4 = -480.
 from __future__ import annotations
 
 from fractions import Fraction as F
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given
@@ -54,6 +55,15 @@ def test_binomial_zero_window():
         for k in range(0, 7):
             value = generalized_binomial(n, k)
             assert (value == 0) == (0 <= n < k)
+
+
+def test_binomial_is_the_exact_integer_quotient():
+    # math.comb for 0 <= k <= n, and the falling factorial over k! as a Fraction below 0
+    for n in range(-40, 41):
+        for k in range(41 if n < 0 else n + 1):
+            value = generalized_binomial(n, k)
+            expected = comb(n, k) if n >= 0 else F(prod(n - j for j in range(k)), factorial(k))
+            assert type(value) is F and value == expected, (n, k)
 
 
 def test_binomial_negative_k_rejected():

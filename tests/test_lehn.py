@@ -17,6 +17,7 @@ import hilbsegre
 from hilbsegre import (
     SurfaceInvariants,
     TruncatedPowerSeries,
+    UniversalSeriesSet,
     blowup_targets,
     change_of_variable,
     closed_segre,
@@ -28,6 +29,7 @@ from hilbsegre import (
     lehn_series,
     segre_number,
     segre_series,
+    series,
     universal,
     universal_series_set,
     verify_lehn_vanishings,
@@ -96,7 +98,7 @@ def test_substitution_roundtrip():
 def test_substitution_equals_the_reverted_closed_form(N):
     # undetermined integer coefficients of w P(w) = z Q(w) against powers and reversion
     built = lehn._substitution.__wrapped__(N)
-    assert built == reverted_substitution(N)
+    assert built[:5] == reverted_substitution(N)
     assert all(type(c) is F for part in built for c in part)
 
 
@@ -108,7 +110,7 @@ def test_substitution_needs_no_reversion_power_composition_or_division(monkeypat
 
     for name in ("revert", "pow", "compose", "__truediv__"):
         monkeypatch.setattr(TruncatedPowerSeries, name, refuse)
-    assert lehn._substitution.__wrapped__(24) == expected
+    assert lehn._substitution.__wrapped__(24)[:5] == expected
 
 
 def test_lower_order_reads_prefix_of_larger_build():
@@ -125,7 +127,9 @@ def test_lower_order_reads_prefix_of_larger_build():
     assert (zw.coefficients, wz.coefficients) == fresh[:2]
     w = TruncatedPowerSeries(fresh[1])
     fresh_logs = tuple(f.log().coefficients for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w))
-    assert fresh[2:] == fresh_logs
+    assert fresh[2:5] == fresh_logs
+    fresh_units = dict(zip(universal.UNIT_TUPLES, map(TruncatedPowerSeries, fresh[5:])))
+    assert extract_lehn_universal(6) == UniversalSeriesSet(**fresh_units)
 
 
 def test_substitution_logs_equal_the_series_construction():
@@ -134,7 +138,7 @@ def test_substitution_logs_equal_the_series_construction():
     built = lehn._substitution.__wrapped__(64)
     w = TruncatedPowerSeries(built[1])
     factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
-    assert built[2:] == tuple(f.log().coefficients for f in factors)
+    assert built[2:5] == tuple(f.log().coefficients for f in factors)
 
 
 def test_lehn_route_reads_no_engine(monkeypatch):
@@ -210,6 +214,49 @@ def test_extracted_universal_matches_engine():
     lehn_set = extract_lehn_universal(8)
     for name in "ABCD":
         assert getattr(lehn_set, name).coefficients == getattr(U8, name).coefficients
+
+
+def lehn_series_set(N):
+    return UniversalSeriesSet(
+        **{name: lehn_series(inv, N) for name, inv in universal.UNIT_TUPLES.items()}
+    )
+
+
+@pytest.mark.parametrize("N", (0, 1, 2, 8, 32, 64, 128))
+def test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(N):
+    assert extract_lehn_universal(N) == lehn_series_set(N)
+
+
+@pytest.mark.parametrize("weights", [(0, 3, -2), (6, 0, -1)], ids=["l3-weight", "same-linear-term"])
+def test_a_wrong_unit_weight_fails_the_oracle_and_the_engine(monkeypatch, weights):
+    # B's l3 weight -1 -> -2 moves B's linear coefficient, which the set
+    # refuses with ValueError; (6, 0, -1) keeps it 0 and moves B from z^2 on
+    monkeypatch.setattr(lehn, "_substitution", lehn._substitution.__wrapped__)  # uncached
+    monkeypatch.setitem(lehn._UNIT_WEIGHTS, "B", weights)
+    with pytest.raises((AssertionError, ValueError)):
+        test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(8)
+    with pytest.raises((AssertionError, ValueError)):
+        assert extract_lehn_universal(8) == universal_series_set(8)
+
+
+def test_extracted_sets_read_the_cache_and_run_no_exp(monkeypatch):
+    extract_lehn_universal(32)
+    expected = [extract_lehn_universal(n) for n in range(33)]
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("reading the extracted set ran an exp")
+
+    monkeypatch.setattr(TruncatedPowerSeries, "exp", refuse)
+    for module in (series, lehn):
+        monkeypatch.setattr(module, "_exp_of_combination", refuse)
+        monkeypatch.setattr(module, "_exps_of_integer_combinations", refuse)
+    monkeypatch.setattr(lehn, "lehn_series", refuse)
+    assert [extract_lehn_universal(n) for n in range(33)] == expected
+
+
+def test_extracted_set_refuses_a_negative_order():
+    with pytest.raises(ValueError, match="order must be non-negative"):
+        extract_lehn_universal(-1)
 
 
 def test_extracted_linear_coefficients():
