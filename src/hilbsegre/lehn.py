@@ -23,11 +23,11 @@ in w_n alone, so undetermined coefficients fix w(z) over the integers,
 with no compositional reversion.  Every tuple is then log-linear, f =
 exp(a l1 + b l2 - c l3), where l1, l2, l3 are the logs of 1 - w, 1 -
 2w, 1 - 6w + 6w^2 at w = w(z): no powers and no composition per tuple.
-At each of `UNIT_TUPLES`, 12 (a, b, -c) is an integer vector, so the
-four unit series A, C, D, B are exponentiated from the logs on
-integers.  One cache holds the substitution, w(z), the three logs and
-the four unit series; it is built once, at the largest order requested
-so far, and a lower order reads its prefix.
+The n l_n are integers, and so is 12 (a, b, -c) at each of
+`UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
+engine's are.  One cache holds the substitution, w(z), the three logs
+and the four unit series, built at the largest order requested so far;
+a lower order reads its prefix.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_of_combination
-from .series import _exps_of_integer_combinations, _grown_by_prefix
+from .series import ExactRational, TruncatedPowerSeries, _exp_fractions, _exp_of_combination
+from .series import _grown_by_prefix, _log_numerators
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
 __all__ = [
@@ -104,8 +104,10 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     w^(i+1), where every term on the right reads only known coefficients;
     the powers w^2 .. w^6 grow by one dot product each per order, so the
     expansion is O(N^2) integer work.  z(w) = w P / Q is long division.
-    The unit series are exp(w . (l1, l2, l3) / 12) for the weights w of
-    `_UNIT_WEIGHTS`, exponentiated on integers.
+    The factors have integer coefficients, so `_log_numerators` gives the
+    integers n l_n, and the unit series exp(u . (l1, l2, l3) / 12) for u in
+    `_UNIT_WEIGHTS` cost one integer dot product per coefficient and one
+    `_exp_fractions` each.
     """
     powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(6)]  # [z^n] w^r
     for n in range(1, N + 1):
@@ -119,8 +121,10 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     one, w, square = powers[:3]  # 1 - w, 1 - 2w and 1 - 6w + 6w^2 are 1 + a w + b w^2
     weights = ((-1, 0), (-2, 0), (-6, 6))
     factors = ([u + a * x + b * y for u, x, y in zip(one, w, square)] for a, b in weights)
-    logs = [TruncatedPowerSeries(f).log().coefficients for f in factors]
-    units = _exps_of_integer_combinations(logs, _UNIT_WEIGHTS.values(), 12)
+    m = [_log_numerators(f, 1) for f in factors]  # m_n = n l_n
+    logs = (tuple(Fraction(x, n or 1) for n, x in enumerate(row)) for row in m)
+    sums = ([sum(map(mul, u, column)) for column in zip(*m)] for u in _UNIT_WEIGHTS.values())
+    units = [_exp_fractions(g, 12) for g in sums]  # g_n = n (u . l)_n
     return (tuple(map(Fraction, [0, *ratio])), tuple(map(Fraction, w)), *logs, *units)
 
 
@@ -128,8 +132,6 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     """Taylor expansion of the Lehn function in z (not w) to order N."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    if N == 0:
-        return TruncatedPowerSeries.one(0)
     exps = lehn_exponents(inv)
     return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:5]), N)
 

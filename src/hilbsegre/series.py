@@ -16,16 +16,16 @@ powers, composition and compositional reversion, which together are
 enough to expand algebraic generating functions exactly.  Only the
 product, exp, log and reversion run recurrences of their own; powers
 (exp of a multiple of the log), division (the product with the inverse
-power of the divisor) and composition are built from them.  The exp
-kernel `_exp_numerators` and its step `_exp_step` also serve the
-engine's vanishing solve, and `_exps_of_integer_combinations` runs the
-kernel on integer combinations of `Fraction` logs for the Lehn route's
-unit series.  Up to order K the kernel scales E_n by exactly K! den^n
-for the den it is given: one integer dot product and one exact
-division per coefficient.  `exp` passes the denominator of
-j f_j, which for the log of a generic rational series grows like
-lcm(1..N), so a power of such a series costs more than a direct
-recurrence would at high order; the CLI never goes past order 64.
+power of the divisor) and composition are built from them.  The two
+cold builds, the engine's vanishing solve and the Lehn substitution,
+keep their logs as the integers j log_j and run the kernels
+`_log_numerators` and `_exp_numerators` (step `_exp_step`) directly;
+`_exp_fractions`, the one way from exp numerators to `Fraction`s, serves
+them and `exp`.  Up to order K the exp kernel scales E_n by exactly
+K! den^n for the den it is given: one integer dot product and one exact
+division per coefficient.  `exp` passes the denominator of j f_j, which
+for the log of a generic rational series grows like lcm(1..N), so a
+power of such a series costs more at high order; the CLI stops at 64.
 """
 
 from __future__ import annotations
@@ -248,19 +248,12 @@ class TruncatedPowerSeries:
         if self._coefficients[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
         f, den = _scaled(self._coefficients)
-        g = [j * x for j, x in enumerate(f)]
-        common = gcd(den, *g)  # a log's j f_j has a far smaller denominator than its f_j
-        den //= common
-        h = _exp_numerators([x // common for x in g], den)  # E_n = h_n / (K! den^n), K! = h_0
-        return TruncatedPowerSeries(Fraction(x, h[0] * den**n) for n, x in enumerate(h))
+        return TruncatedPowerSeries(_exp_fractions([j * x for j, x in enumerate(f)], den))
 
     def log(self) -> "TruncatedPowerSeries":
         """Logarithm of a series with constant term exactly 1.
 
-        From f L' = f', the coefficients M_n = n L_n satisfy
-        M_n = n f_n - sum_{0<j<n} M_j f_{n-j}.  With f_i = F_i / D this
-        runs over integers: m_n = D^n M_n and g_i = D^(i-1) F_i give
-        m_n = n g_n - sum_{0<j<n} m_j g_{n-j}.
+        The recurrence runs on integers in `_log_numerators`.
 
         >>> f = 1 + TruncatedPowerSeries.identity(6)
         >>> f.log().exp() == f
@@ -269,19 +262,8 @@ class TruncatedPowerSeries:
         if self._coefficients[0] != 1:
             raise ValueError("log of non-unit series")
         f, den = _scaled(self._coefficients)
-        g = [0]
-        power = 1  # D^(i-1)
-        for c in f[1:]:
-            g.append(power * c)
-            power *= den
-        m = [0]
-        out = [Fraction(0)]
-        scale = 1  # D^n
-        for n in range(1, len(f)):
-            m.append(n * g[n] - sum(map(mul, m[1:n], g[n - 1 : 0 : -1])))
-            scale *= den
-            out.append(Fraction(m[n], n * scale))
-        return TruncatedPowerSeries(out)
+        m = _log_numerators(f, den)  # n L_n = m_n / den^n
+        return TruncatedPowerSeries(Fraction(x, (n or 1) * den**n) for n, x in enumerate(m))
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
         """Raise to a rational power alpha as exp(alpha log f).
@@ -361,6 +343,20 @@ def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
     return [sum(map(mul, f[: k + 1], g[k::-1])) for k in range(n + 1)]
 
 
+def _log_numerators(f: list[int], den: int) -> list[int]:
+    """log(f) as n L_n = m[n] / den^n, for f_i = f[i] / den and f_0 = 1.
+
+    From f L' = f', M_n = n L_n satisfies M_n = n f_n - sum_{0<j<n} M_j f_{n-j};
+    over integers, m_n = den^n M_n and g_i = den^(i-1) f[i] give
+    m_n = n g_n - sum_{0<j<n} m_j g_{n-j}.
+    """
+    g = [den ** (i - 1) * x if i else 0 for i, x in enumerate(f)]
+    m = [0]
+    for n in range(1, len(f)):
+        m.append(n * g[n] - sum(map(mul, m[1:n], g[n - 1 : 0 : -1])))
+    return m
+
+
 def _exp_step(c: list[int], h: list[int]) -> int:
     """h_n from n h_n = sum_j c_j h_(n-j), n = len(h) and c = c_1 .. c_n: one exp kernel step."""
     return sum(map(mul, c, reversed(h))) // len(h)
@@ -374,8 +370,8 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
     one `_exp_step` per n, the step that also grows the vanishing solve's
     twin series.  The division by n is exact because h_n = (K!/n!) e_n for
     e_n = den^n n! E_n, and e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an
-    integer by induction.  The scale is exactly K! den^n, whatever g; a
-    caller that wants h_n short divides den and g by their gcd first.
+    integer by induction.  The scale is exactly K! den^n, whatever g;
+    `_exp_fractions` divides den and g by their gcd first, to keep h_n short.
     """
     c, h = [], [factorial(len(g) - 1)]  # c_1 .. c_n, and h_0 .. h_n
     power = 1  # den^(n-1)
@@ -384,6 +380,14 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
         h.append(_exp_step(c, h))
         power *= den
     return h
+
+
+def _exp_fractions(g: list[int], den: int) -> tuple[Fraction, ...]:
+    """exp(f) as `Fraction`s, for f0 = 0 and j f_j = g[j] / den, by `_exp_numerators`."""
+    common = gcd(den, *g)  # a log's j f_j has a far smaller denominator than its f_j
+    den //= common
+    h = _exp_numerators([x // common for x in g], den)  # E_n = h_n / (K! den^n), K! = h_0
+    return tuple(Fraction(x, h[0] * den**n) for n, x in enumerate(h))
 
 
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
@@ -396,26 +400,6 @@ def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries(
         [sum((w * log[n] for w, log in terms), Fraction(0)) for n in range(order + 1)]
     ).exp()
-
-
-def _exps_of_integer_combinations(logs, weights, divisor: int) -> list[tuple[Fraction, ...]]:
-    """exp(sum_i w_i log_i / divisor) for each integer weight vector w, on the logs' order.
-
-    j log_j is put over one denominator once for all the vectors; each
-    vector then costs one integer dot product per coefficient and one run
-    of `_exp_numerators`, reduced by the gcd as `exp` does.
-    """
-    size = len(logs[0])
-    flat, den = _scaled([j * c for log in logs for j, c in enumerate(log)])
-    columns = list(zip(*(flat[i : i + size] for i in range(0, len(flat), size))))
-    out = []
-    for weight in weights:
-        g = [sum(map(mul, weight, column)) for column in columns]
-        common = gcd(den * divisor, *g)
-        scale = den * divisor // common
-        h = _exp_numerators([x // common for x in g], scale)  # E_n = h_n / (K! scale^n)
-        out.append(tuple(Fraction(x, h[0] * scale**n) for n, x in enumerate(h)))
-    return out
 
 
 def _grown_by_prefix(build):

@@ -27,12 +27,12 @@ and the second, at a fixed offset delta, is that probe times exp(delta . log):
   log C_k and log D_k (determinant 1, delta = (1, 1, 0, 0)).
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
-O(z^2).  It runs on integer numerators of j log_j and the exp kernel of
-`series` (the probe at step k over k! den^k, the second target's twin
-series over N! den^n), and solves each 2 x 2 step by exact integer
-division.  The same build exponentiates the solved rows, and it is kept
-at the largest order requested so far: `universal_series_set(N)` and
-its views `determine_AB(N)` and `determine_CD(N)` read it with no exp.
+O(z^2).  It runs on the integers j log_j and the exp kernel of `series`
+(the probe at step k over k!, the twin series over N!), and solves each
+2 x 2 step by one exact integer division, which raises if j log_j is
+not an integer.  The same build exponentiates the rows through
+`series._exp_fractions`, and it is kept at the largest order requested
+so far: `universal_series_set(N)` and its views read it with no exp.
 The solve and its log layout are private to this module: other modules
 read the engine through `universal_series_set` and `segre_series`.
 """
@@ -42,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_numerators, _exp_of_combination
-from .series import _exp_step, _grown_by_prefix
+from .series import ExactRational, TruncatedPowerSeries, _exp_fractions, _exp_numerators
+from .series import _exp_of_combination, _exp_step, _grown_by_prefix
 
 __all__ = [
     "SurfaceInvariants",
@@ -161,49 +161,43 @@ def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(t.as_tuple() for t in blowup_targets(k))
 
 
-def _probe_and_solve(G, den: int, slots: tuple[int, int], vanishings, N: int) -> int:
+def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
     """Solve the k-th coefficients of two logs from two vanishings, k = 2 .. N.
 
-    G[i][j] / den is j log_j, for log i in the order of `UNIT_TUPLES`.
+    G[i][j] is the integer j log_j, for log i in the order of `UNIT_TUPLES`.
     Fills G[i][k] and G[j][k], (i, j) = `slots`, so that exp(sum of
     weight * log) has z^k coefficient 0 at both tuples w, v of
     `vanishings(k)`.  The unknown entries start at 0, so a probe reads the
     constant part nu of its equation.  Only w runs the exp kernel, whose
-    numerators at step k are over k! den^t.  exp(L_v) is exp(L_w) M with
-    M = exp((v - w) . log), kept over N! den^t, grown by one `_exp_step`
-    per order and rebuilt when v - w or den changes; so nu_v is one dot
-    product of the two numerator rows, divided exactly by N!.  Cramer's
-    rule then gives each k den log_k as num / d with d = det k! den^k,
-    all integers: the entry is one exact division once den (and all of
-    G) has grown by |d| / gcd(num, d).  Returns den.
+    numerators at step k are over k!.  exp(L_v) is exp(L_w) M with
+    M = exp((v - w) . log), kept over N!, grown by one `_exp_step` per
+    order and rebuilt when v - w changes; so nu_v is one dot product of
+    the two numerator rows, divided exactly by N!.  Cramer's rule then
+    gives each k log_k as num / (det k!), one `divmod`; a remainder means
+    the family has no integer solution, and raises `ArithmeticError`.
     """
     i, j = slots
-    key = None  # (v - w, den) of the twin M = m_t / (N! den^t), with kernel weights c
+    key = None  # v - w of the twin M = m_t / N!, with kernel weights c
     for k in range(2, N + 1):
         w, v = vanishings(k)
         delta = tuple(b - a for a, b in zip(w, v))
-        if key != (delta, den):
-            key, c, m = (delta, den), [], [factorial(N)]
+        if key != delta:
+            key, c, m = delta, [], [factorial(N)]
         while len(m) <= k:
-            n = len(m)
-            c.append(den ** (n - 1) * sum(t * row[n] for t, row in zip(delta, G)))
+            c.append(sum(t * row[len(m)] for t, row in zip(delta, G)))
             m.append(_exp_step(c, m))
         g = [0] * (k + 1)
         for t, row in zip(w, G):  # the weighted sum, one row at a time
             if t:
                 g = [a + t * x for a, x in zip(g, row)]
-        e = _exp_numerators(g, den)  # e_t over k! den^t
-        e_k, e_v = e[k], sum(map(mul, e, reversed(m))) // m[0]  # nu_v over k! den^k too
-        d = (w[i] * v[j] - w[j] * v[i]) * e[0] * den**k
+        e = _exp_numerators(g, 1)  # e_t over k!
+        e_k, e_v = e[k], sum(map(mul, e, reversed(m))) // m[0]  # nu_v over k! too
+        d = (w[i] * v[j] - w[j] * v[i]) * e[0]
         for slot, a, b in ((i, w[j], v[j]), (j, -w[i], -v[i])):
-            num = k * den * (a * e_v - b * e_k)  # k den log_k = num / d
-            growth = abs(d) // gcd(num, d)
-            if growth != 1:
-                den *= growth
-                G[:] = [[x * growth for x in row] for row in G]
-            G[slot][k] = num * growth // d
+            G[slot][k], r = divmod(k * (a * e_v - b * e_k), d)
+            if r:
+                raise ArithmeticError(f"log {list(UNIT_TUPLES)[slot]}: {k} log_{k} is fractional")
         del c[k - 1 :], m[k:]  # c_k and m_k read the unknowns as 0: regrown next step
-    return den
 
 
 @_grown_by_prefix
@@ -212,11 +206,10 @@ def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
     G = [[0] * (N + 1) for _ in range(4)]
     if N >= 1:
         G[0][1] = 1  # log A = z + O(z^2)
-    den = _probe_and_solve(G, 1, (0, 3), _k3_vanishings, N)
-    den = _probe_and_solve(G, den, (1, 2), _blowup_vanishings, N)
-    logs = tuple(tuple(Fraction(x, (n or 1) * den) for n, x in enumerate(row)) for row in G)
-    scales = [factorial(N) * den**n for n in range(N + 1)]
-    return logs + tuple(tuple(map(Fraction, _exp_numerators(row, den), scales)) for row in G)
+    _probe_and_solve(G, (0, 3), _k3_vanishings, N)
+    _probe_and_solve(G, (1, 2), _blowup_vanishings, N)
+    logs = tuple(tuple(Fraction(x, n or 1) for n, x in enumerate(row)) for row in G)
+    return logs + tuple(_exp_fractions(row, 1) for row in G)
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:

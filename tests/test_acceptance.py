@@ -137,5 +137,6 @@ def test_criterion_12_lehn_k3_reach_at_order_128():
 
 
 def test_criterion_13_lehn_universal_series_at_order_128():
+    # the engine's build also proves every j log_j integral to 128: its solve raises otherwise
     with _Timer("13 lehn-universal-128", 3.0):
         assert extract_lehn_universal(128) == universal_series_set(128)

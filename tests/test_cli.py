@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -227,6 +228,17 @@ def test_verify_default_reports_are_frozen(capsys, argv, code, report):
     exit_code, out = run_cli(capsys, *argv)
     assert out == report
     assert exit_code == code
+
+
+@pytest.mark.parametrize(
+    "max_order,max_k,digest",
+    [("12", "10", "9d0474e0ae004ea1"), ("32", "32", "2313aae6215750cd")],
+)
+def test_verify_reports_at_higher_orders_are_pinned(capsys, max_order, max_k, digest):
+    # reports too long to freeze as literals: the first 16 hex digits of their SHA-256
+    code, out = run_cli(capsys, "verify", "--max-order", max_order, "--max-k", max_k)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_verify_is_deterministic(capsys):

@@ -205,6 +205,9 @@ def test_linear_coefficient_is_d():
 
 def test_order_zero_series():
     assert lehn_series(SurfaceInvariants(4, 3, 2, 1), 0).coefficients == (F(1),)
+    # no special case for N = 0: the order-0 build gives 1 + O(z), whatever the exponents
+    for tup in ((0, 0, 0, 0), (1, 0, 0, 1)):  # the second has chi = 1/12 and c = 7/12
+        assert lehn_series(SurfaceInvariants(*tup), 0) == TruncatedPowerSeries.one(0)
 
 
 # -- cross-route equivalence --------------------------------------------------------------
@@ -249,7 +252,8 @@ def test_extracted_sets_read_the_cache_and_run_no_exp(monkeypatch):
     monkeypatch.setattr(TruncatedPowerSeries, "exp", refuse)
     for module in (series, lehn):
         monkeypatch.setattr(module, "_exp_of_combination", refuse)
-        monkeypatch.setattr(module, "_exps_of_integer_combinations", refuse)
+        monkeypatch.setattr(module, "_exp_fractions", refuse)
+    monkeypatch.setattr(series, "_exp_numerators", refuse)
     monkeypatch.setattr(lehn, "lehn_series", refuse)
     assert [extract_lehn_universal(n) for n in range(33)] == expected
 

@@ -564,13 +564,21 @@ def test_prop_revert_matches_undetermined_reference(linear, tail):
 # -- the integer kernels stay private to the series module -----------------
 
 
-INTEGER_KERNELS = {"_scaled", "_convolve", "_exp_numerators", "_exp_step"}
+#: Each integer kernel, with the modules allowed to use it outside `series`.
+INTEGER_KERNELS = {
+    "_scaled": set(),
+    "_convolve": set(),
+    "_exp_numerators": {"universal.py"},
+    "_exp_step": {"universal.py"},
+    "_log_numerators": {"lehn.py"},
+    "_exp_fractions": {"universal.py", "lehn.py"},
+}
 
 
 def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_solve():
-    # outside `series`, only the engine's vanishing solve may work on the
-    # numerators-over-one-denominator format; everything else goes through
-    # the public TruncatedPowerSeries API
+    # outside `series`, only the two cold builds, the engine's vanishing solve
+    # and the Lehn substitution, work on integer logs, each through the kernels
+    # listed for it; everything else goes through the public TruncatedPowerSeries API
     defined, used = {}, {}
     for path in sorted(Path(hilbsegre.series.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -582,7 +590,8 @@ def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_so
                 names, table = {node.attr}, used
             else:
                 continue
-            for name in names & INTEGER_KERNELS:
+            for name in names & INTEGER_KERNELS.keys():
                 table.setdefault(name, set()).add(path.name)
     assert defined == {name: {"series.py"} for name in INTEGER_KERNELS}
-    assert set().union(*used.values()) <= {"universal.py"}
+    for name, users in used.items():
+        assert users <= INTEGER_KERNELS[name], name

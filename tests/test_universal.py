@@ -158,59 +158,48 @@ def test_integer_solve_equals_fraction_solve(N):
         assert exp == TruncatedPowerSeries(log).exp().coefficients, name
 
 
-@pytest.mark.parametrize(
-    "family",
-    (
-        lambda k: ((1, 0, 0, k), (k, 0, 0, 1)),  # determinant 1 - k^2 < 0
-        lambda k: ((k, 0, 0, 1), (1, 0, 0, k)),  # determinant k^2 - 1 > 0
-    ),
-    ids=("negative determinant", "positive determinant"),
-)
-def test_integer_solve_grows_the_shared_denominator(family):
-    # j log_j stays integral for both real families; these two need denominators
-    N = 6  # den grows to 60480
-    G = [[0] * (N + 1) for _ in range(4)]
-    G[0][1] = 1
-    den = universal._probe_and_solve(G, 1, (0, 3), family, N)
-    assert den == 60480
-    assert all(type(x) is int for row in G for x in row)
-    logs = [[F(0)] * (N + 1) for _ in range(4)]
-    logs[0][1] = F(1)
-    fraction_probe_and_solve(logs, (0, 3), family, N)
-    assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
+SYNTHETIC_FAMILIES = {
+    "negative determinant": lambda k: ((1, 0, 0, k), (k, 0, 0, 1)),  # 1 - k^2
+    "positive determinant": lambda k: ((k, 0, 0, 1), (1, 0, 0, k)),  # k^2 - 1
+    "fixed offset": lambda k: ((1, 0, 0, k), (2, 0, 0, k + 1)),  # 1 - k; twin v - w = (1, 0, 0, 1)
+}
 
 
-def test_twin_probe_rescales_after_the_denominator_grows():
-    # delta = v - w stays (1, 0, 0, 1) while den grows to 15 by N = 6, so the
-    # twin series M is rebuilt over each new den
+@pytest.mark.parametrize("family", SYNTHETIC_FAMILIES.values(), ids=SYNTHETIC_FAMILIES)
+def test_integer_solve_refuses_a_fractional_log(family):
+    # j log_j stays integral for both real families (criterion 13 solves them to
+    # order 128); these leave the integers, and the solve must stop there, not round
     N = 6
-    family = lambda k: ((1, 0, 0, k), (2, 0, 0, k + 1))  # determinant 1 - k
-    G = [[0] * (N + 1) for _ in range(4)]
-    G[0][1] = 1
-    den = universal._probe_and_solve(G, 1, (0, 3), family, N)
-    assert den == 15
     logs = [[F(0)] * (N + 1) for _ in range(4)]
     logs[0][1] = F(1)
     fraction_probe_and_solve(logs, (0, 3), family, N)
-    assert [[F(x, (n or 1) * den) for n, x in enumerate(row)] for row in G] == logs
+    fractional = ((k, s) for k in range(2, N + 1) for s in (0, 3) if (k * logs[s][k]).denominator > 1)
+    k, slot = next(fractional)
+    G = [[0] * (N + 1) for _ in range(4)]
+    G[0][1] = 1
+    message = f"^log {list(UNIT_TUPLES)[slot]}: {k} log_{k} is fractional$"
+    with pytest.raises(ArithmeticError, match=message):
+        universal._probe_and_solve(G, (0, 3), family, N)
+    assert [row[:k] for row in G] == [[n * log[n] for n in range(k)] for log in logs]
 
 
 def test_solve_runs_one_exp_per_step_and_family_and_the_set_four_per_build(monkeypatch):
     # the second target of each step is read off the first probe, not
     # exponentiated; the set's four series come from the build, not from each call
     N, calls = 32, []
-    kernel = universal._exp_numerators
+    kernel = hilbsegre.series._exp_numerators
 
     def spy(g, den):
         calls.append(len(g))
         return kernel(g, den)
 
-    monkeypatch.setattr(universal, "_exp_numerators", spy)
+    monkeypatch.setattr(universal, "_exp_numerators", spy)  # the solve's probes
+    monkeypatch.setattr(hilbsegre.series, "_exp_numerators", spy)  # the set's, by _exp_fractions
     G = [[0] * (N + 1) for _ in range(4)]
     G[0][1] = 1
-    den = universal._probe_and_solve(G, 1, (0, 3), universal._k3_vanishings, N)
+    universal._probe_and_solve(G, (0, 3), universal._k3_vanishings, N)
     assert calls == [k + 1 for k in range(2, N + 1)]  # one probe to z^k per step k
-    universal._probe_and_solve(G, den, (1, 2), universal._blowup_vanishings, N)
+    universal._probe_and_solve(G, (1, 2), universal._blowup_vanishings, N)
     assert len(calls) == 2 * (N - 1)
     calls.clear()
     build = universal._universal_logs.__wrapped__
