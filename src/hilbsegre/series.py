@@ -368,9 +368,9 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
     From n E_n = sum_j j f_j E_(n-j), the numerators h_n = K! den^n E_n
     satisfy n h_n = sum_j c_j h_(n-j) over the integers c_j = den^(j-1) g_j:
     one `_exp_step` per n, the step that also grows the vanishing solve's
-    twin series.  The division by n is exact because h_n = (K!/n!) e_n for
-    e_n = den^n n! E_n, and e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an
-    integer by induction.  The scale is exactly K! den^n, whatever g;
+    probe and twin series.  The division by n is exact because
+    h_n = (K!/n!) e_n for e_n = den^n n! E_n, and
+    e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an integer by induction.  The scale is exactly K! den^n, whatever g;
     `_exp_fractions` divides den and g by their gcd first, to keep h_n short.
     """
     c, h = [], [factorial(len(g) - 1)]  # c_1 .. c_n, and h_0 .. h_n

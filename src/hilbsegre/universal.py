@@ -20,21 +20,23 @@ the values at two targets with the unknown k-th log coefficients set to
 0 yield a 2 x 2 affine system; the exp kernel probes the first target,
 and the second, at a fixed offset delta, is that probe times exp(delta . log):
 
-- the K3 family (2g - 2, 0, 0, 24) with s(k, 2k) = s(k, 2k - 1) = 0
-  fixes log A_k and log B_k (determinant 48, delta = (-2, 0, 0, 0));
+- the K3 family (2g - 2, 0, 0, 24), at a pair of genera where the closed
+  formula vanishes (`_k3_vanishings`), fixes log A_k and log B_k
+  (determinant 48, delta = (-2, 0, 0, 0));
 - the blown-up K3 tuples (7(k-1), k-1, -1, 25) and (7(k-1)+1, k, -1, 25),
   the two `SurfaceInvariants` that `blowup_targets(k)` returns, fix
   log C_k and log D_k (determinant 1, delta = (1, 1, 0, 0)).
 
 The solve starts from the seed log A = z + O(z^2), the other logs being
-O(z^2).  It runs on the integers j log_j and the exp kernel of `series`
-(the probe at step k over k!, the twin series over N!), and solves each
-2 x 2 step by one exact integer division, which raises if j log_j is
-not an integer.  The same build exponentiates the rows through
-`series._exp_fractions`, and it is kept at the largest order requested
-so far: `universal_series_set(N)` and its views read it with no exp.
-The solve and its log layout are private to this module: other modules
-read the engine through `universal_series_set` and `segre_series`.
+O(z^2).  It runs on the integers j log_j and the exp kernel step of
+`series` (the probe and the twin series over k! at step k, each grown
+while its weights hold), and solves each 2 x 2 step by one exact
+integer division, which raises if j log_j is not an integer.  The same
+build exponentiates the rows through `series._exp_fractions`, and it is
+kept at the largest order requested so far: `universal_series_set(N)`
+and its views read it with no exp.  The solve and its log layout are
+private to this module: other modules read the engine through
+`universal_series_set` and `segre_series`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from functools import cached_property
 from math import factorial
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_fractions, _exp_numerators
+from .series import ExactRational, TruncatedPowerSeries, _exp_fractions
 from .series import _exp_of_combination, _exp_step, _grown_by_prefix
 
 __all__ = [
@@ -153,8 +155,19 @@ def blowup_targets(k: int) -> tuple[SurfaceInvariants, SurfaceInvariants]:
     return tuple(SurfaceInvariants(6 * k - 6 + twist, twist, -1, 25) for twist in (k - 1, k))
 
 
-def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:  # genera 2k and 2k - 1
-    return (4 * k - 2, 0, 0, 24), (4 * k - 4, 0, 0, 24)
+def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
+    """The K3 tuples (2g - 2, 0, 0, 24) of genera 2K and 2K - 1 for the window of k.
+
+    The closed formula s(k, g) = 2^k C(g - 2k + 1, k) is zero for
+    2k - 1 <= g <= 3k - 2.  The windows [lo, K], K = (3 lo - 2) // 2, are
+    [2, 2], [3, 3], [4, 5], [6, 8], [9, 12], ...; K >= k and
+    2K <= 3 lo - 2 <= 3k - 2 keep both genera in the range for the whole
+    window, so the solve rebuilds its probe once per window.
+    """
+    lo = 2
+    while (top := (3 * lo - 2) // 2) < k:
+        lo = top + 1
+    return (4 * top - 2, 0, 0, 24), (4 * top - 4, 0, 0, 24)
 
 
 def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
@@ -168,36 +181,42 @@ def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
     Fills G[i][k] and G[j][k], (i, j) = `slots`, so that exp(sum of
     weight * log) has z^k coefficient 0 at both tuples w, v of
     `vanishings(k)`.  The unknown entries start at 0, so a probe reads the
-    constant part nu of its equation.  Only w runs the exp kernel, whose
-    numerators at step k are over k!.  exp(L_v) is exp(L_w) M with
-    M = exp((v - w) . log), kept over N!, grown by one `_exp_step` per
-    order and rebuilt when v - w changes; so nu_v is one dot product of
-    the two numerator rows, divided exactly by N!.  Cramer's rule then
-    gives each k log_k as num / (det k!), one `divmod`; a remainder means
-    the family has no integer solution, and raises `ArithmeticError`.
+    constant part nu of its equation.  Two series are kept, each over k!
+    at step k: the probe exp(L_w) and its twin M = exp((v - w) . log),
+    with exp(L_v) = exp(L_w) M.  Each is rebuilt only when its weights
+    change; otherwise it is scaled by k and grown by one `_exp_step` per
+    order.  Its step at k reads the unknowns as 0, so it is dropped and
+    regrown once they are solved.  nu_v is one dot product of the two
+    numerator rows, divided exactly by k!.  Cramer's rule then gives each
+    k log_k as num / (det k!), one `divmod`; a remainder means the family
+    has no integer solution, and raises `ArithmeticError`.
     """
     i, j = slots
-    key = None  # v - w of the twin M = m_t / N!, with kernel weights c
+    grown = [(None, [], [])] * 2  # probe and twin: weights, kernel weights c, numerators h
     for k in range(2, N + 1):
         w, v = vanishings(k)
-        delta = tuple(b - a for a, b in zip(w, v))
-        if key != delta:
-            key, c, m = delta, [], [factorial(N)]
-        while len(m) <= k:
-            c.append(sum(t * row[len(m)] for t, row in zip(delta, G)))
-            m.append(_exp_step(c, m))
-        g = [0] * (k + 1)
-        for t, row in zip(w, G):  # the weighted sum, one row at a time
-            if t:
-                g = [a + t * x for a, x in zip(g, row)]
-        e = _exp_numerators(g, 1)  # e_t over k!
-        e_k, e_v = e[k], sum(map(mul, e, reversed(m))) // m[0]  # nu_v over k! too
-        d = (w[i] * v[j] - w[j] * v[i]) * e[0]
+        weights = (w, tuple(b - a for a, b in zip(w, v)))
+        grown = [
+            (t, c, [x * k for x in h]) if old == t else (t, [], [factorial(k)])
+            for (old, c, h), t in zip(grown, weights)
+        ]
+        for t, c, h in grown:
+            new = [0] * (k + 1 - len(h))  # c_n for n = len(h) .. k, one row at a time
+            for x, row in zip(t, G):
+                if x:
+                    new = [a + x * y for a, y in zip(new, row[len(h) :])]
+            for x in new:
+                c.append(x)
+                h.append(_exp_step(c, h))
+        (_, _, p), (_, _, m) = grown
+        e_k, e_v = p[k], sum(map(mul, p, reversed(m))) // m[0]  # nu, nu_v over k!
+        d = (w[i] * v[j] - w[j] * v[i]) * m[0]
         for slot, a, b in ((i, w[j], v[j]), (j, -w[i], -v[i])):
             G[slot][k], r = divmod(k * (a * e_v - b * e_k), d)
             if r:
                 raise ArithmeticError(f"log {list(UNIT_TUPLES)[slot]}: {k} log_{k} is fractional")
-        del c[k - 1 :], m[k:]  # c_k and m_k read the unknowns as 0: regrown next step
+        for _, c, h in grown:
+            del c[k - 1 :], h[k:]
 
 
 @_grown_by_prefix

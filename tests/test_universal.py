@@ -136,14 +136,73 @@ def test_series_set_reads_prefix_of_larger_build():
     assert (U6.A.coefficients, U6.B.coefficients, U6.C.coefficients, U6.D.coefficients) == (A, B, C, D)
 
 
+def _k3_per_order(k: int) -> tuple[tuple[int, ...], ...]:
+    """The K3 tuples of genera 2k and 2k - 1, a fresh pair at every order."""
+    return (4 * k - 2, 0, 0, 24), (4 * k - 4, 0, 0, 24)
+
+
+def _k3_longer_windows(pair_from_top: bool):
+    """K3 windows [lo, K + 1], one order too long, with the genera of K + 1 or of K."""
+
+    def vanishings(k):
+        lo = 2
+        while (top := (3 * lo - 2) // 2 + 1) < k:
+            lo = top + 1
+        g = 2 * top if pair_from_top else 2 * top - 2
+        return (2 * g - 2, 0, 0, 24), (2 * g - 4, 0, 0, 24)
+
+    return vanishings
+
+
+def _solved_k3_rows(vanishings, N: int) -> list[list[int]]:
+    G = [[0] * (N + 1) for _ in range(4)]
+    G[0][1] = 1
+    universal._probe_and_solve(G, (0, 3), vanishings, N)
+    return G
+
+
 def _oracle_logs(N: int) -> tuple[tuple[F, ...], ...]:
     """The four logs from the seed and both families, solved over Fraction."""
     logs = [[F(0)] * (N + 1) for _ in range(4)]
     if N >= 1:
         logs[0][1] = F(1)
-    fraction_probe_and_solve(logs, (0, 3), universal._k3_vanishings, N)
+    fraction_probe_and_solve(logs, (0, 3), _k3_per_order, N)
     fraction_probe_and_solve(logs, (1, 2), universal._blowup_vanishings, N)
     return tuple(map(tuple, logs))
+
+
+def test_k3_genus_windows_stay_in_the_vanishing_range():
+    # s(k, g) = 2^k C(g - 2k + 1, k) vanishes for 2k - 1 <= g <= 3k - 2, so one
+    # pair of genera serves a whole window of orders
+    N = 128
+    for k in range(2, N + 1):
+        w, v = universal._k3_vanishings(k)
+        assert w[1:] == v[1:] == (0, 0, 24)
+        for t in (w, v):
+            g = (t[0] + 2) // 2
+            assert 2 * k - 1 <= g <= 3 * k - 2, (k, g)
+            assert closed_segre(k, g) == 0, (k, g)
+        assert w[0] * v[3] - w[3] * v[0] == 48
+        assert tuple(b - a for a, b in zip(w, v)) == (-2, 0, 0, 0)
+    assert len({universal._k3_vanishings(k) for k in range(2, N + 1)}) == 11
+
+
+def test_k3_genus_windows_give_the_per_order_solution():
+    N = 128
+    assert _solved_k3_rows(universal._k3_vanishings, N) == _solved_k3_rows(_k3_per_order, N)
+
+
+@pytest.mark.parametrize("pair_from_top", (True, False), ids=("genera of K + 1", "genera of K"))
+def test_a_window_one_order_too_long_leaves_the_solution(pair_from_top):
+    # with K + 1 the larger genus passes 3k - 2 at k = lo; with the pair of K
+    # kept at k = K + 1 the smaller one falls below 2k - 1
+    N = 32
+    expected = _solved_k3_rows(universal._k3_vanishings, N)
+    try:
+        G = _solved_k3_rows(_k3_longer_windows(pair_from_top), N)
+    except ArithmeticError:
+        return
+    assert G != expected
 
 
 @pytest.mark.parametrize("N", (0, 1, 2, 3, 12, 32, 64))
@@ -183,30 +242,40 @@ def test_integer_solve_refuses_a_fractional_log(family):
     assert [row[:k] for row in G] == [[n * log[n] for n in range(k)] for log in logs]
 
 
-def test_solve_runs_one_exp_per_step_and_family_and_the_set_four_per_build(monkeypatch):
-    # the second target of each step is read off the first probe, not
-    # exponentiated; the set's four series come from the build, not from each call
-    N, calls = 32, []
-    kernel = hilbsegre.series._exp_numerators
+def test_solve_rebuilds_a_probe_when_its_weights_change_and_the_set_runs_four_exps(monkeypatch):
+    # the probe and its twin grow by one kernel step per order and are rebuilt
+    # only for new weights; the set's four series come from the build, not from each call
+    N, starts, calls = 32, [], []
+    step, kernel = hilbsegre.series._exp_step, hilbsegre.series._exp_numerators
+
+    def step_spy(c, h):
+        if len(h) == 1:  # a fresh series; log A = z + O(z^2) makes c_1 its weight on A
+            starts.append(c[0])
+        return step(c, h)
 
     def spy(g, den):
         calls.append(len(g))
         return kernel(g, den)
 
-    monkeypatch.setattr(universal, "_exp_numerators", spy)  # the solve's probes
+    monkeypatch.setattr(universal, "_exp_step", step_spy)
     monkeypatch.setattr(hilbsegre.series, "_exp_numerators", spy)  # the set's, by _exp_fractions
+    assert not hasattr(universal, "_exp_numerators")
     G = [[0] * (N + 1) for _ in range(4)]
     G[0][1] = 1
     universal._probe_and_solve(G, (0, 3), universal._k3_vanishings, N)
-    assert calls == [k + 1 for k in range(2, N + 1)]  # one probe to z^k per step k
+    probes = sorted({universal._k3_vanishings(k)[0][0] for k in range(2, N + 1)})
+    assert len(probes) == 8
+    assert starts == probes[:1] + [-2] + probes[1:]  # the twin, delta = (-2, 0, 0, 0), once
+    starts.clear()
     universal._probe_and_solve(G, (1, 2), universal._blowup_vanishings, N)
-    assert len(calls) == 2 * (N - 1)
-    calls.clear()
+    probes = [7 * (k - 1) for k in range(2, N + 1)]  # d of the first blow-up target
+    assert len(probes) == 31
+    assert starts == probes[:1] + [1] + probes[1:]  # the twin, delta = (1, 1, 0, 0), once
+    assert calls == []  # the solve runs no whole exp
     build = universal._universal_logs.__wrapped__
     monkeypatch.setattr(universal, "_universal_logs", _grown_by_prefix(build))  # an empty cache
     universal_series_set(N)
-    assert len(calls) == 2 * (N - 1) + 4
-    assert calls[-4:] == [N + 1] * 4  # A, C, D and B, once each
+    assert calls == [N + 1] * 4  # A, C, D and B, once each
     calls.clear()
 
     def refuse(self):
