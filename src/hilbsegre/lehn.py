@@ -16,13 +16,18 @@ and w tied to z by the substitution
 
     z = w (1 - w) (1 - 2w)^4 / (1 - 6w + 6w^2)^3.
 
-Since P(0) = Q(0) = 1 for P = (1 - w)(1 - 2w)^4 and Q = (1 - 6w +
-6w^2)^3, the substitution is w P(w) = z Q(w), and w(z) is its power
-series root: order by order, the z^n coefficients of both sides differ
-in w_n alone, so undetermined coefficients fix w(z) over the integers,
-with no compositional reversion.  Every tuple is then log-linear, f =
-exp(a l1 + b l2 - c l3), where l1, l2, l3 are the logs of 1 - w, 1 -
-2w, 1 - 6w + 6w^2 at w = w(z): no powers and no composition per tuple.
+The substitution is w P(w) = z Q(w) for P = (1 - w)(1 - 2w)^4 and
+Q = (1 - 6w + 6w^2)^3.  In y = w - w^2 it is a cubic: the identities
+
+    (1 - 2w)^2 = 1 - 4y,    1 - 6w + 6w^2 = 1 - 6y
+
+turn it into y (1 - 4y)^2 = z (1 - 6y)^3, and y(z) is its power series
+root: order by order, the z^n coefficients of both sides differ in y_n
+alone, so undetermined coefficients fix y(z) over the integers, with no
+compositional reversion, and w = y + w^2 gives w(z) the same way.
+Every tuple is then log-linear, f = exp(a l1 + b l2 - c l3), where l1,
+l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6y at w = w(z): no powers and
+no composition per tuple.
 The n l_n are integers, and so is 12 (a, b, -c) at each of
 `UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
 engine's are.  One cache holds the substitution, w(z), the three logs
@@ -85,9 +90,9 @@ def change_of_variable(
     return TruncatedPowerSeries(zw), TruncatedPowerSeries(wz)
 
 
-#: P and Q of w P(w) = z Q(w), lowest coefficient first.
-_P = (1, -9, 32, -56, 48, -16)
-_Q = (1, -18, 126, -432, 756, -648, 216)
+#: The cubic y (1 - 4y)^2 = z (1 - 6y)^3 that w P(w) = z Q(w) becomes at
+#: y = w - w^2: its two sides as polynomials in y, lowest coefficient first.
+_CUBIC = ((0, 1, -8, 16), (1, -18, 108, -216))
 
 #: 12 (a, b, -c) at each of `UNIT_TUPLES`: integers, since 12 chi and 12 c are.
 _UNIT_WEIGHTS = {
@@ -100,32 +105,42 @@ _UNIT_WEIGHTS = {
 def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     """z(w), w(z), l1, l2, l3 (the logs of the three factors at w = w(z)), then A, C, D, B.
 
-    With w_1 .. w_(n-1) known, w_n = [z^(n-1)] Q(w) - sum_(i>=1) p_i [z^n]
-    w^(i+1), where every term on the right reads only known coefficients;
-    the powers w^2 .. w^6 grow by one dot product each per order, so the
-    expansion is O(N^2) integer work.  z(w) = w P / Q is long division.
-    The factors have integer coefficients, so `_log_numerators` gives the
-    integers n l_n, and the unit series exp(u . (l1, l2, l3) / 12) for u in
-    `_UNIT_WEIGHTS` cost one integer dot product per coefficient and one
-    `_exp_fractions` each.
+    With y = w - w^2, (1 - 2w)^2 = 1 - 4y and 1 - 6w + 6w^2 = 1 - 6y, so
+    w P(w) = z Q(w) is the cubic y (1 - 4y)^2 = z (1 - 6y)^3 of `_CUBIC`.
+    With y_1 .. y_(n-1) known, y_n = [z^(n-1)] (1 - 6y)^3 + 8 [z^n] y^2 -
+    16 [z^n] y^3, where every term on the right reads only known
+    coefficients, and w_n = y_n + [z^n] w^2; y^2, y^3 and w^2 grow by one
+    dot product each per order, so the expansion is O(N^2) integer work.
+    z(w) is the long division of the two sides, each a polynomial in w.
+    The factors 1 - w, 1 - 2w and 1 - 6y have integer coefficients, so
+    `_log_numerators` gives the integers n l_n, and the unit series
+    exp(u . (l1, l2, l3) / 12) for u in `_UNIT_WEIGHTS` cost one integer
+    dot product per coefficient and one `_exp_fractions` each.
     """
-    powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(6)]  # [z^n] w^r
+    left, right = _CUBIC
+    powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(3)]  # [z^n] y^r
+    y, w = powers[1], [0] * (N + 1)
     for n in range(1, N + 1):
-        for r in range(2, 7):
-            powers[r][n] = sum(map(mul, powers[1][1:n], powers[r - 1][n - 1 : 0 : -1]))
-        known = sum(map(mul, _P[1:], (power[n] for power in powers[2:])))
-        powers[1][n] = sum(q * power[n - 1] for q, power in zip(_Q, powers)) - known
-    ratio = []  # P / Q, with Q_0 = 1
-    for n in range(N):
-        ratio.append((_P[n] if n < len(_P) else 0) - sum(map(mul, _Q[1 : n + 1], reversed(ratio))))
-    one, w, square = powers[:3]  # 1 - w, 1 - 2w and 1 - 6w + 6w^2 are 1 + a w + b w^2
-    weights = ((-1, 0), (-2, 0), (-6, 6))
-    factors = ([u + a * x + b * y for u, x, y in zip(one, w, square)] for a, b in weights)
+        for r in (2, 3):
+            powers[r][n] = sum(map(mul, y[1:n], powers[r - 1][n - 1 : 0 : -1]))
+        known = sum(map(mul, left[2:], (power[n] for power in powers[2:])))
+        y[n] = sum(a * power[n - 1] for a, power in zip(right, powers)) - known
+        w[n] = y[n] + sum(map(mul, w[1:n], w[n - 1 : 0 : -1]))
+    sides = []  # both sides of the cubic as polynomials in w, by Horner's rule in y = w - w^2
+    for row in _CUBIC:
+        side = []
+        for a in reversed(row):
+            side = [p - q for p, q in zip([a, *side, 0], [0, 0, *side])]
+        sides.append(side)
+    (num, den), zw = sides, []  # den_0 = 1
+    for x in (num + [0] * N)[: N + 1]:
+        zw.append(x - sum(map(mul, den[1:], reversed(zw))))
+    factors = ([1, *(-a * x for x in row[1:])] for a, row in ((1, w), (2, w), (6, y)))
     m = [_log_numerators(f, 1) for f in factors]  # m_n = n l_n
     logs = (tuple(Fraction(x, n or 1) for n, x in enumerate(row)) for row in m)
     sums = ([sum(map(mul, u, column)) for column in zip(*m)] for u in _UNIT_WEIGHTS.values())
     units = [_exp_fractions(g, 12) for g in sums]  # g_n = n (u . l)_n
-    return (tuple(map(Fraction, [0, *ratio])), tuple(map(Fraction, w)), *logs, *units)
+    return (tuple(map(Fraction, zw)), tuple(map(Fraction, w)), *logs, *units)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:

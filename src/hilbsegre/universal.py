@@ -30,8 +30,9 @@ and the second, at a fixed offset delta, is that probe times exp(delta . log):
 The solve starts from the seed log A = z + O(z^2), the other logs being
 O(z^2).  It runs on the integers j log_j and the exp kernel step of
 `series` (the probe and the twin series over k! at step k, each grown
-while its weights hold), and solves each 2 x 2 step by one exact
-integer division, which raises if j log_j is not an integer.  The same
+while its weights hold, its z^k step corrected in place once the
+unknowns are solved), and solves each 2 x 2 step by one exact integer
+division, which raises if j log_j is not an integer.  The same
 build exponentiates the rows through `series._exp_fractions`, and it is
 kept at the largest order requested so far: `universal_series_set(N)`
 and its views read it with no exp.  The solve and its log layout are
@@ -152,7 +153,7 @@ def blowup_targets(k: int) -> tuple[SurfaceInvariants, SurfaceInvariants]:
     """
     if k < 2:
         raise ValueError("targets defined for k >= 2 only")
-    return tuple(SurfaceInvariants(6 * k - 6 + twist, twist, -1, 25) for twist in (k - 1, k))
+    return tuple(SurfaceInvariants(*target) for target in _blowup_vanishings(k))
 
 
 def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
@@ -171,7 +172,8 @@ def _k3_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _blowup_vanishings(k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(t.as_tuple() for t in blowup_targets(k))
+    """The tuples of `blowup_targets(k)`, twists l = k - 1 and l = k, as plain integers."""
+    return (7 * k - 7, k - 1, -1, 25), (7 * k - 6, k, -1, 25)
 
 
 def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
@@ -185,11 +187,15 @@ def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
     at step k: the probe exp(L_w) and its twin M = exp((v - w) . log),
     with exp(L_v) = exp(L_w) M.  Each is rebuilt only when its weights
     change; otherwise it is scaled by k and grown by one `_exp_step` per
-    order.  Its step at k reads the unknowns as 0, so it is dropped and
-    regrown once they are solved.  nu_v is one dot product of the two
-    numerator rows, divided exactly by k!.  Cramer's rule then gives each
-    k log_k as num / (det k!), one `divmod`; a remainder means the family
-    has no integer solution, and raises `ArithmeticError`.
+    order.  nu_v is one dot product of the two numerator rows, divided
+    exactly by k!.  Cramer's rule then gives each k log_k as
+    num / (det k!), one `divmod`; a remainder means the family has no
+    integer solution, and raises `ArithmeticError`.  Each series' step at
+    k read the unknowns as 0.  They enter only its kernel weight c_k, by
+    delta = t_i G[i][k] + t_j G[j][k] for its weights t, and
+    k h_k = sum_n c_n h_(k-n) is linear in c_k with coefficient h_0 = k!,
+    so c_k += delta and h_k += delta h_0 / k correct the step in place,
+    exactly; nothing above z^k has been built yet.
     """
     i, j = slots
     grown = [(None, [], [])] * 2  # probe and twin: weights, kernel weights c, numerators h
@@ -215,8 +221,10 @@ def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
             G[slot][k], r = divmod(k * (a * e_v - b * e_k), d)
             if r:
                 raise ArithmeticError(f"log {list(UNIT_TUPLES)[slot]}: {k} log_{k} is fractional")
-        for _, c, h in grown:
-            del c[k - 1 :], h[k:]
+        for t, c, h in grown:
+            delta = t[i] * G[i][k] + t[j] * G[j][k]
+            c[k - 1] += delta
+            h[k] += delta * h[0] // k
 
 
 @_grown_by_prefix

@@ -23,7 +23,9 @@ kernel clears denominators and runs over integers:
 
 `reverted_substitution` expands Lehn's change of variable z(w) from its
 closed form with powers and products, and w(z) by Lagrange reversion,
-where `lehn` solves w P(w) = z Q(w) by undetermined integer coefficients.
+where `lehn` solves the cubic in y = w - w^2 by undetermined integer
+coefficients.  `LEHN_P` and `LEHN_Q` are the substitution's polynomials
+in w itself, for z(w) = w P / Q by long division.
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ def fraction_probe_and_solve(logs, slots, vanishings, N: int) -> None:
         det = w[i] * v[j] - w[j] * v[i]
         logs[i][k] = (w[j] * nu_v - v[j] * nu) / det
         logs[j][k] = (v[i] * nu - w[i] * nu_v) / det
+
+
+#: P = (1 - w)(1 - 2w)^4 and Q = (1 - 6w + 6w^2)^3 of Lehn's substitution
+#: w P(w) = z Q(w), expanded by hand, lowest coefficient first.
+LEHN_P = (1, -9, 32, -56, 48, -16)
+LEHN_Q = (1, -18, 126, -432, 756, -648, 216)
 
 
 def reverted_substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:

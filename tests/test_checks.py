@@ -193,9 +193,11 @@ def _fault_in_w(monkeypatch):
 
 
 def _fault_in_substitution_polynomial(monkeypatch):
-    # Q's w^3 coefficient one too large, in a fresh build: w(z) moves first at z^4
+    # the y^3 coefficient of (1 - 6y)^3 one too large (-215 for -216), in a
+    # fresh build: y(z), and so w(z), moves first at z^4
+    left, right = lehn._CUBIC
     monkeypatch.setattr(lehn, "_substitution", lehn._substitution.__wrapped__)
-    monkeypatch.setattr(lehn, "_Q", _bumped(lehn._Q, 3))
+    monkeypatch.setattr(lehn, "_CUBIC", (left, _bumped(right, 3)))
 
 
 def _fault_in_exponent(monkeypatch):

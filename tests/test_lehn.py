@@ -35,7 +35,7 @@ from hilbsegre import (
     verify_lehn_vanishings,
 )
 from hilbsegre.cli import MAX_ORDER
-from tests._oracles import reverted_substitution
+from tests._oracles import LEHN_P, LEHN_Q, fraction_div, reverted_substitution
 
 U8 = universal_series_set(8)
 
@@ -96,10 +96,31 @@ def test_substitution_roundtrip():
 
 @pytest.mark.parametrize("N", (1, 2, 8, 32, 64, 128))
 def test_substitution_equals_the_reverted_closed_form(N):
-    # undetermined integer coefficients of w P(w) = z Q(w) against powers and reversion
+    # undetermined integer coefficients of the cubic in y = w - w^2 against
+    # powers and reversion of w P(w) = z Q(w)
     built = lehn._substitution.__wrapped__(N)
     assert built[:5] == reverted_substitution(N)
     assert all(type(c) is F for part in built for c in part)
+
+
+@pytest.mark.parametrize("N", (1, 2, 8, 32, 128))
+def test_z_of_w_equals_w_p_over_q(N):
+    # z(w) from the cubic's two sides against long division of w P by Q in w
+    def padded(coefficients):
+        return TruncatedPowerSeries((list(coefficients) + [0] * (N + 1))[: N + 1])
+
+    zw = lehn._substitution.__wrapped__(N)[0]
+    assert zw == fraction_div(padded((0, *LEHN_P)), padded(LEHN_Q)).coefficients
+
+
+def test_y_solves_the_cubic_in_y():
+    # y = w - w^2 at w = w(z) satisfies y (1 - 4y)^2 = z (1 - 6y)^3 exactly
+    N = 128
+    w = TruncatedPowerSeries(lehn._substitution.__wrapped__(N)[1])
+    y = w - w * w
+    z = TruncatedPowerSeries.identity(N)
+    assert y * (1 - 4 * y) * (1 - 4 * y) == z * (1 - 6 * y) * (1 - 6 * y) * (1 - 6 * y)
+    assert lehn._CUBIC == ((0, 1, -8, 16), (1, -18, 108, -216))
 
 
 def test_substitution_needs_no_reversion_power_composition_or_division(monkeypatch):
@@ -133,7 +154,7 @@ def test_lower_order_reads_prefix_of_larger_build():
 
 
 def test_substitution_logs_equal_the_series_construction():
-    # the three factors are built on the integer rows of w and w^2; the
+    # the three factors are built on the integer rows of w and y = w - w^2; the
     # reference builds them with series arithmetic, w^2 as a product
     built = lehn._substitution.__wrapped__(64)
     w = TruncatedPowerSeries(built[1])

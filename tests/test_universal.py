@@ -245,12 +245,13 @@ def test_integer_solve_refuses_a_fractional_log(family):
 def test_solve_rebuilds_a_probe_when_its_weights_change_and_the_set_runs_four_exps(monkeypatch):
     # the probe and its twin grow by one kernel step per order and are rebuilt
     # only for new weights; the set's four series come from the build, not from each call
-    N, starts, calls = 32, [], []
+    N, starts, steps, calls = 32, [], [], []
     step, kernel = hilbsegre.series._exp_step, hilbsegre.series._exp_numerators
 
     def step_spy(c, h):
         if len(h) == 1:  # a fresh series; log A = z + O(z^2) makes c_1 its weight on A
             starts.append(c[0])
+        steps.append(len(h))
         return step(c, h)
 
     def spy(g, den):
@@ -266,11 +267,17 @@ def test_solve_rebuilds_a_probe_when_its_weights_change_and_the_set_runs_four_ex
     probes = sorted({universal._k3_vanishings(k)[0][0] for k in range(2, N + 1)})
     assert len(probes) == 8
     assert starts == probes[:1] + [-2] + probes[1:]  # the twin, delta = (-2, 0, 0, 0), once
+    # a probe rebuilt at k takes k steps, a grown series one step per order: the
+    # probe 2 + 3 + 4 + 6 + 9 + 13 + 19 + 28 = 84 at its window starts and 23
+    # steps between them, the twin 2 + 30
+    assert len(steps) == 84 + 23 + 32 == 139
     starts.clear()
+    steps.clear()
     universal._probe_and_solve(G, (1, 2), universal._blowup_vanishings, N)
     probes = [7 * (k - 1) for k in range(2, N + 1)]  # d of the first blow-up target
     assert len(probes) == 31
     assert starts == probes[:1] + [1] + probes[1:]  # the twin, delta = (1, 1, 0, 0), once
+    assert len(steps) == sum(range(2, N + 1)) + 32 == 559  # a new probe per order, the twin
     assert calls == []  # the solve runs no whole exp
     build = universal._universal_logs.__wrapped__
     monkeypatch.setattr(universal, "_universal_logs", _grown_by_prefix(build))  # an empty cache
@@ -430,6 +437,11 @@ def test_section_count_is_3k_minus_1():
     for k in range(2, 12):
         for target in blowup_targets(k):
             assert _section_count(target) == 3 * k - 1
+
+
+def test_blowup_targets_and_the_solve_read_one_definition():
+    for k in range(2, 129):
+        assert universal._blowup_vanishings(k) == tuple(t.as_tuple() for t in blowup_targets(k))
 
 
 def test_targets_require_k_at_least_2():
