@@ -6,72 +6,17 @@ down by vanishing constraints, and the Lehn generating function expanded
 from the integer equation of its variable change.  The package
 cross-validates the routes against each other; the `hilbsegre` command
 exposes everything from the shell.
+
+The package republishes the `__all__` of `series`, `universal`, `lehn`
+and `k3`; each module's list is the one statement of its public names.
 """
 
-from .k3 import (
-    BSequences,
-    closed_segre,
-    determine_b_prime,
-    determine_b_s1,
-    generalized_binomial,
-    recursion_segre,
-    recursion_table,
-)
-from .lehn import (
-    LehnExponents,
-    change_of_variable,
-    eval_s5_polynomial,
-    extract_lehn_universal,
-    lehn_exponents,
-    lehn_series,
-    verify_lehn_vanishings,
-)
-from .series import (
-    ExactRational,
-    TruncatedPowerSeries,
-    as_rational,
-    format_rational,
-    parse_rational,
-)
-from .universal import (
-    SurfaceInvariants,
-    UniversalSeriesSet,
-    blowup_targets,
-    determine_AB,
-    determine_CD,
-    segre_number,
-    segre_series,
-    universal_series_set,
-)
+from . import k3, lehn, series, universal
+from .k3 import *  # noqa: F401,F403
+from .lehn import *  # noqa: F401,F403
+from .series import *  # noqa: F401,F403
+from .universal import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSequences",
-    "ExactRational",
-    "LehnExponents",
-    "SurfaceInvariants",
-    "TruncatedPowerSeries",
-    "UniversalSeriesSet",
-    "as_rational",
-    "blowup_targets",
-    "change_of_variable",
-    "closed_segre",
-    "determine_AB",
-    "determine_CD",
-    "determine_b_prime",
-    "determine_b_s1",
-    "eval_s5_polynomial",
-    "extract_lehn_universal",
-    "format_rational",
-    "generalized_binomial",
-    "lehn_exponents",
-    "lehn_series",
-    "parse_rational",
-    "recursion_segre",
-    "recursion_table",
-    "segre_number",
-    "segre_series",
-    "universal_series_set",
-    "verify_lehn_vanishings",
-]
+__all__ = [*series.__all__, *universal.__all__, *lehn.__all__, *k3.__all__]

@@ -6,8 +6,9 @@ the series comparisons, `max_k` the largest index of the K3 and
 vanishing checks.  `REGISTRY` is in report order.  The library is
 called through its modules (`k3.closed_segre`), so what runs is what the
 module attribute holds, such as a tracing wrapper or an injected fault.
-s5-polynomial proves its identity on a 126-point simplex rather than
-sampling it; its docstring gives the argument.
+s5-polynomial proves its identity on a 126-point simplex, and
+closed-vs-recursion on max_k + 1 genera, rather than sampling them;
+their docstrings give the argument.
 """
 
 from __future__ import annotations
@@ -89,10 +90,16 @@ def kernel_roundtrips(U, order: int, max_k: int):
 
 @_single("closed-vs-recursion")
 def closed_vs_recursion(U, order: int, max_k: int):
-    """The K3 recursion table equals the closed formula for k <= max_k, 1 <= g <= 30."""
-    rows = k3.recursion_table(max_k, 30, k3.determine_b_s1(max_k))
+    """The K3 recursion table equals the closed formula for k <= max_k, 1 <= g <= G.
+
+    G = max(30, max_k + 1).  Row k of both sides is a polynomial of
+    degree at most k in g, so agreement at max_k + 1 genera is agreement
+    at every g.
+    """
+    genera = max(30, max_k + 1)
+    rows = k3.recursion_table(max_k, genera, k3.determine_b_s1(max_k))
     for k in range(max_k + 1):
-        for g in range(1, 31):
+        for g in range(1, genera + 1):
             lhs, rhs = rows[k][g - 1], k3.closed_segre(k, g)
             if lhs != rhs:
                 return f"k={k}, g={g}: recursion {lhs} vs closed {rhs}"

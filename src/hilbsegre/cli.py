@@ -7,13 +7,14 @@ Subcommands:
     lehn     one Segre number via the Lehn generating function
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
-Values are printed as exact "p/q" strings, never as decimals.  The
-truncation order of `series` and `verify` is 8 unless their --order and
---max-order flags say otherwise; `number` and `lehn` evaluate at order
---k.  No order, k or max-k may exceed MAX_ORDER: argparse refuses one as
-a usage error before any work starts.  Exit codes: 0 success, 1
-verification failure, 2 usage error or an `--output` path that cannot
-be written, which is also found before any work starts.
+Values are printed as exact "p/q" strings of any size, never as
+decimals.  The truncation order of `series` and `verify` is 8 unless
+their --order and --max-order flags say otherwise; `number` and `lehn`
+evaluate at order --k.  No order, k or max-k may exceed MAX_ORDER:
+argparse refuses one as a usage error before any work starts.  Exit
+codes: 0 success, 1 verification failure, 2 usage error or an
+`--output` path that cannot be written, which is also found before any
+work starts.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
 #: The dearest one at order N, `verify --max-order N --max-k N`, took
-#: 5.5-5.9 s at N = 48, 13-14 s at 64, 38 s at 96 and 138 s at 128 on a
-#: 2-vCPU machine; its kernel-roundtrips check sets the pace at 128.
+#: 5.5-5.9 s at N = 48, 13-14 s at 64 and 38 s at 96 on a 2-vCPU
+#: machine; at 128 it took 131 s at commit 0582266, and its
+#: kernel-roundtrips check alone 126 s, each in a fresh process.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

@@ -31,6 +31,7 @@ power of such a series costs more at high order; the CLI stops at 64.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from functools import wraps
 from math import factorial, gcd, lcm
@@ -64,20 +65,26 @@ def as_rational(value: Scalar) -> Fraction:
 
 
 def format_rational(value: Scalar) -> str:
-    """Render a rational as "p/q", omitting the denominator when it is 1."""
-    return str(as_rational(value))
+    """Render a rational as "p/q", omitting the denominator when it is 1.
+
+    Integers of any size are written out: `Decimal` converts exactly and
+    has no digit limit, unlike `str(int)` since Python 3.10.7.
+    """
+    q = as_rational(value)
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "p/q" form emitted by :func:`format_rational`.
+    """Parse the "p/q" form emitted by :func:`format_rational`, any size.
 
     Decimal notation is refused on purpose: the wire format is exact.
     Only ASCII digits are accepted, and a zero denominator is refused.
     """
     match = _RATIONAL_LITERAL.fullmatch(text.strip())
-    if not match or match[2] is not None and int(match[2]) == 0:
+    if not match or match[2] is not None and int(Decimal(match[2])) == 0:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return Fraction(int(Decimal(match[1])), int(Decimal(match[2] or 1)))
 
 
 class TruncatedPowerSeries:

@@ -52,6 +52,14 @@ def test_closed_vs_recursion_catches_a_wrong_closed_value(monkeypatch):
     assert counterexample.startswith("k=3, g=7: recursion ")
 
 
+def test_closed_vs_recursion_checks_max_k_plus_one_genera(monkeypatch):
+    # past max_k = 29 the check reads genera up to max_k + 1, not 30: row k is a
+    # polynomial of degree <= k in g, and max_k + 1 genera prove it for every g
+    monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 31, 31))
+    counterexample = _single_failure(checks.closed_vs_recursion, None, 0, 31)
+    assert counterexample.startswith("k=31, g=31: recursion ")
+
+
 def test_pascal_identity_catches_a_wrong_closed_value(monkeypatch):
     monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 3, 7))
     assert _single_failure(checks.pascal_identity, None, 0, 3).startswith("k=3, g=7: ")
@@ -180,14 +188,16 @@ def _fault_in_b(monkeypatch):
 
 
 def _fault_in_w(monkeypatch):
-    # a fresh build of the substitution with w(z) bumped before the three logs are taken
+    # a fresh build of the substitution with w(z) bumped before the three logs,
+    # and the four unit series exp(u . (l1, l2, l3) / 12) from them, are taken
     build = lehn._substitution.__wrapped__
 
     def substitution(N):
         zw, wz, *_ = build(N)
         w = TruncatedPowerSeries(_bumped(wz, 2))
-        factors = (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)
-        return (zw, w.coefficients, *(f.log().coefficients for f in factors))
+        logs = [f.log() for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)]
+        units = [(sum(x * l for x, l in zip(u, logs)) / 12).exp() for u in lehn._UNIT_WEIGHTS.values()]
+        return (zw, w.coefficients, *(f.coefficients for f in logs + units))
 
     monkeypatch.setattr(lehn, "_substitution", substitution)
 
@@ -235,6 +245,16 @@ def test_a_fault_in_each_component_fails_a_registry_check(monkeypatch, install, 
     U = universal.universal_series_set(5)
     outcomes = [outcome for run in checks.REGISTRY for outcome in run(U, 4, 4)]
     assert check in {outcome.name for outcome in outcomes if not outcome.ok}
+
+
+@pytest.mark.parametrize("install", [fault for fault, _ in COMPONENT_FAULTS.values()], ids=COMPONENT_FAULTS)
+def test_each_fault_keeps_every_part_of_the_cached_builds(monkeypatch, install):
+    # a faulted cache must still hold everything its readers take, the unit series included
+    caches = ((universal, "_universal_logs"), (lehn, "_substitution"))
+    real = [len(getattr(module, name)(4)) for module, name in caches]
+    install(monkeypatch)
+    assert [len(getattr(module, name)(4)) for module, name in caches] == real
+    assert lehn.extract_lehn_universal(4).order == universal.universal_series_set(4).order == 4
 
 
 def test_every_registry_check_runs_in_an_acceptance_criterion(monkeypatch):

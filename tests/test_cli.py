@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hilbsegre import SurfaceInvariants, parse_rational
+from hilbsegre import SurfaceInvariants, parse_rational, segre_number, universal_series_set
 from hilbsegre import cli
 from hilbsegre.cli import MAX_ORDER, OutputRecord, main, render_records
 
@@ -146,6 +146,29 @@ def test_lehn_subcommand(capsys):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert row["route"] == "lehn"
     assert row["value"] == "0"
+
+
+# -- exact values of any size ----------------------------------------------------
+
+
+@pytest.mark.parametrize("exponent", [66, 70])
+def test_every_route_prints_values_past_the_int_digit_limit(capsys, exponent):
+    # at d = 10^66 the value's numerator has 4,154 digits and at 10^70 4,410, past
+    # the 4,300 that str(int) refuses since Python 3.10.7; neither changes that limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    tuple_flags = ("--d", "1" + "0" * exponent, "--pi", "3", "--kappa", "-1", "--e", "25")
+    values = []
+    for command in ("number", "lehn"):
+        code, out = run_cli(capsys, command, *tuple_flags, "--k", "64", "--format", "csv")
+        assert code == 0
+        values.append(list(csv.DictReader(io.StringIO(out)))[0]["value"])
+    code, out = run_cli(capsys, "series", "--which", "s", *tuple_flags, "--order", "64", "--format", "json")
+    assert code == 0
+    values.append(json.loads(out)[-1]["value"])
+    inv = SurfaceInvariants(10**exponent, 3, -1, 25)
+    assert {parse_rational(value) for value in values} == {segre_number(inv, 64, universal_series_set(64))}
+    assert (len(values[0].split("/")[0]) > 4300) == (exponent == 70)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 # -- verify -----------------------------------------------------------------------

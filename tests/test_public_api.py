@@ -1,4 +1,4 @@
-"""The public names: every `__all__` entry resolves, and the package adds none of its own."""
+"""The public names: every `__all__` entry resolves, and the package republishes exactly the modules'."""
 
 from __future__ import annotations
 
@@ -20,4 +20,7 @@ def test_every_public_name_resolves(name):
 def test_package_exports_only_module_names():
     modules = [importlib.import_module(f"hilbsegre.{m}") for m in MODULES]
     union = set().union(*(module.__all__ for module in modules))
-    assert set(hilbsegre.__all__) - union == set()
+    assert set(hilbsegre.__all__) == union
+    assert len(hilbsegre.__all__) == len(union)  # no name is published twice
+    for module in modules:
+        assert [n for n in module.__all__ if getattr(hilbsegre, n) is not getattr(module, n)] == []

@@ -96,6 +96,14 @@ def test_rational_wire_format_roundtrip():
         parse_rational("0.5")
 
 
+def test_wire_format_has_no_digit_limit():
+    # str(int) refuses more than 4,300 digits since Python 3.10.7; the wire format does not
+    assert format_rational(F(10**4299)) == "1" + "0" * 4299
+    assert format_rational(F(-1, 10**5000)) == "-1/1" + "0" * 5000
+    value = F(-(10**4300) - 7, 3**9000)
+    assert parse_rational(format_rational(value)) == value
+
+
 def test_parse_rational_edge_cases():
     accepted = {"+3": F(3), "-3/4": F(-3, 4), " 7/2 ": F(7, 2), "\t-0\n": F(0), "6/4": F(3, 2)}
     for text, value in accepted.items():
