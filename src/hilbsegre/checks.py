@@ -7,8 +7,9 @@ vanishing checks.  `REGISTRY` is in report order.  The library is
 called through its modules (`k3.closed_segre`), so what runs is what the
 module attribute holds, such as a tracing wrapper or an injected fault.
 s5-polynomial proves its identity on a 126-point simplex, and
-closed-vs-recursion on max_k + 1 genera, rather than sampling them;
-their docstrings give the argument.
+closed-vs-recursion on genera 1 .. max(30, max_k + 1), at least the
+max_k + 1 it needs, rather than sampling them; their docstrings give the
+argument.  Every value in a report goes through `format_rational`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,11 @@ def _single(name: str):
 
 def _fmt(inv: universal.SurfaceInvariants) -> str:
     return f"(d,pi,kappa,e)=({inv.d},{inv.pi},{inv.kappa},{inv.e})"
+
+
+def _str(value) -> str:
+    """An exact value as "p/q" of any size (`str` refuses past 4,300 digits), None as "None"."""
+    return "None" if value is None else series.format_rational(value)
 
 
 _EXPONENT_PAIRS = (
@@ -102,7 +108,7 @@ def closed_vs_recursion(U, order: int, max_k: int):
         for g in range(1, genera + 1):
             lhs, rhs = rows[k][g - 1], k3.closed_segre(k, g)
             if lhs != rhs:
-                return f"k={k}, g={g}: recursion {lhs} vs closed {rhs}"
+                return f"k={k}, g={g}: recursion {_str(lhs)} vs closed {_str(rhs)}"
 
 
 @_single("pascal-identity")
@@ -114,7 +120,7 @@ def pascal_identity(U, order: int, max_k: int):
             lhs = 2 * closed(k - 1, g - 3)
             rhs = closed(k, g) - closed(k, g - 1)
             if lhs != rhs:
-                return f"k={k}, g={g}: {lhs} vs {rhs}"
+                return f"k={k}, g={g}: {_str(lhs)} vs {_str(rhs)}"
 
 
 @_single("b-vs-bprime")
@@ -127,20 +133,19 @@ def b_vs_bprime(U, order: int, max_k: int):
     pairs = itertools.zip_longest(k3.determine_b_s1(max_k).b, b_prime)
     for l, (x, y) in enumerate(pairs):
         if x != y:
-            return f"index {l}: b={x} vs b'={y}"
+            return f"index {l}: b={_str(x)} vs b'={_str(y)}"
 
 
 @_single("engine-vs-lehn-grid")
 def engine_vs_lehn_grid(U, order: int, max_k: int):
     """Engine and Lehn series agree to `order` on the 7 x 7 x 7 x 3 grid of tuples."""
     grid = itertools.product(range(-3, 4), range(-3, 4), range(-3, 4), (0, 12, 24))
-    fmt = series.format_rational
     for inv in itertools.starmap(universal.SurfaceInvariants, grid):
         engine = universal.segre_series(inv, order, U)
         oracle = lehn.lehn_series(inv, order)
         if engine != oracle:
             k = next(k for k, (x, y) in enumerate(zip(engine, oracle)) if x != y)
-            return f"{_fmt(inv)}, k={k}: engine {fmt(engine[k])} vs lehn {fmt(oracle[k])}"
+            return f"{_fmt(inv)}, k={k}: engine {_str(engine[k])} vs lehn {_str(oracle[k])}"
 
 
 def lehn_vanishing(U, order: int, max_k: int) -> list[Outcome]:
@@ -149,8 +154,8 @@ def lehn_vanishing(U, order: int, max_k: int) -> list[Outcome]:
     report = lehn.verify_lehn_vanishings(max_k)
     for k, batch in itertools.groupby(report, key=lambda entry: entry[0]):
         batch = list(batch)
-        values = ", ".join(series.format_rational(c) for _, _, c in batch)
-        first = next((f"{_fmt(inv)} -> {c}" for _, inv, c in batch if c != 0), None)
+        values = ", ".join(_str(c) for _, _, c in batch)
+        first = next((f"{_fmt(inv)} -> {_str(c)}" for _, inv, c in batch if c != 0), None)
         outcomes.append(Outcome(f"lehn-vanishing k={k}", first is None, first or "", values))
     return outcomes
 
@@ -175,13 +180,12 @@ def s5_polynomial(U, order: int, max_k: int):
     for target in universal.blowup_targets(5):
         value = lehn.eval_s5_polynomial(target)
         if value != 0:
-            return f"nonzero at {_fmt(target)}: {value}"
-    fmt = series.format_rational
+            return f"nonzero at {_fmt(target)}: {_str(value)}"
     differing = []
     for inv in itertools.starmap(universal.SurfaceInvariants, _S5_SIMPLEX):
         polynomial, engine = lehn.eval_s5_polynomial(inv), universal.segre_number(inv, 5, U)
         if polynomial != engine:
-            differing.append(f"{_fmt(inv)}: polynomial {fmt(polynomial)} vs engine {fmt(engine)}")
+            differing.append(f"{_fmt(inv)}: polynomial {_str(polynomial)} vs engine {_str(engine)}")
     if differing:
         return f"{differing[0]}; {len(differing)} of {len(_S5_SIMPLEX)} simplex tuples differ"
 
@@ -195,9 +199,9 @@ def degenerate_family(U, order: int, max_k: int):
         oracle = lehn.lehn_series(inv, order)
         for k in range(1, order + 1):
             if engine[k] != 0:
-                return f"engine nonzero at {_fmt(inv)}, k={k}: {engine[k]}"
+                return f"engine nonzero at {_fmt(inv)}, k={k}: {_str(engine[k])}"
             if oracle[k] != 0:
-                return f"lehn nonzero at {_fmt(inv)}, k={k}: {oracle[k]}"
+                return f"lehn nonzero at {_fmt(inv)}, k={k}: {_str(oracle[k])}"
 
 
 REGISTRY = (

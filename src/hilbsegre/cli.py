@@ -4,7 +4,7 @@ Subcommands:
 
     number   one Segre number via the engine (optionally all routes)
     series   coefficients of A, B, C, D or of a full generating series
-    lehn     one Segre number via the Lehn generating function
+    lehn     exactly the `lehn` row of `number --all-routes`
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings of any size, never as
@@ -24,7 +24,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 
 from .checks import REGISTRY
@@ -44,40 +44,29 @@ MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One computed value with its provenance, ready for serialization."""
-
-    invariants: SurfaceInvariants
-    k: int
-    value: Fraction
-    route: str
-
-    def to_dict(self) -> dict:
-        values = (*self.invariants.as_tuple(), self.k, self.route, format_rational(self.value))
-        return dict(zip(CSV_HEADER, values))
-
-    def to_row(self) -> tuple[str, ...]:
-        return tuple(str(value) for value in self.to_dict().values())
+#: Each series route by name: the function giving its series for a tuple to an order.
+#: The lambdas read the module's names when called, so a stub or a tracer's wrapper applies.
+ROUTES = {
+    "engine": lambda inv, order: segre_series(inv, order, universal_series_set(order)),
+    "lehn": lambda inv, order: lehn_series(inv, order),
+}
 
 
-def render_records(records: list[OutputRecord], fmt: str, values_only: bool = False) -> str:
+def output_row(inv: SurfaceInvariants, k: int, route: str, value: Fraction) -> dict:
+    """One computed value with its provenance: `CSV_HEADER` -> field."""
+    return dict(zip(CSV_HEADER, (*inv.as_tuple(), k, route, format_rational(value))))
+
+
+def render_records(rows: list[dict], fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([r.to_dict() for r in records], indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
+    table = [CSV_HEADER] + [tuple(str(cell) for cell in row.values()) for row in rows]
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(r.to_row() for r in records)
+        csv.writer(buffer, lineterminator="\n").writerows(table)
         return buffer.getvalue()
-    if values_only:
-        return "".join(format_rational(r.value) + "\n" for r in records)
-    rows = [CSV_HEADER] + [r.to_row() for r in records]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(CSV_HEADER))]
-    lines = [
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in rows
-    ]
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
     return "".join(line + "\n" for line in lines)
 
 
@@ -107,18 +96,15 @@ def _closed_applicable(inv: SurfaceInvariants) -> bool:
 
 
 def cmd_number(args: argparse.Namespace) -> int:
-    inv = _invariants_from(args)
-    series = segre_series(inv, args.k, universal_series_set(args.k))
-    records = []
-    if args.all_routes and _closed_applicable(inv):
-        g = inv.d // 2 + 1
-        records.append(OutputRecord(inv, args.k, closed_segre(args.k, g), "closed"))
-    records.append(OutputRecord(inv, args.k, series[args.k], "engine"))
-    if args.all_routes:
-        records.append(
-            OutputRecord(inv, args.k, lehn_series(inv, args.k)[args.k], "lehn")
-        )
-    _emit(render_records(records, args.format), args.output)
+    """`number` and `lehn`: one row per route in `args.routes`; closed only on a K3 tuple."""
+    inv, k = _invariants_from(args), args.k
+    rows = []
+    for route in args.routes:
+        if route in ROUTES:
+            rows.append(output_row(inv, k, route, ROUTES[route](inv, k)[k]))
+        elif _closed_applicable(inv):
+            rows.append(output_row(inv, k, route, closed_segre(k, inv.d // 2 + 1)))
+    _emit(render_records(rows, args.format), args.output)
     return 0
 
 
@@ -130,24 +116,11 @@ def cmd_series(args: argparse.Namespace) -> int:
         print(f"--which {args.which} {'takes no' if unit else 'requires'} {flags}", file=sys.stderr)
         return 2
     inv = UNIT_TUPLES[args.which] if unit else _invariants_from(args)
-    if args.which == "lehn":
-        series, route = lehn_series(inv, args.order), "lehn"
-    else:
-        series, route = segre_series(inv, args.order, universal_series_set(args.order)), "engine"
-    records = [
-        OutputRecord(inv, k, series[k], route) for k in range(series.order + 1)
-    ]
-    _emit(
-        render_records(records, args.format, values_only=True), args.output
-    )
-    return 0
-
-
-def cmd_lehn(args: argparse.Namespace) -> int:
-    inv = _invariants_from(args)
-    value = lehn_series(inv, args.k)[args.k]
-    records = [OutputRecord(inv, args.k, value, "lehn")]
-    _emit(render_records(records, args.format), args.output)
+    route = "lehn" if args.which == "lehn" else "engine"
+    series = ROUTES[route](inv, args.order)
+    rows = [output_row(inv, k, route, c) for k, c in enumerate(series)]
+    table = "".join(row["value"] + "\n" for row in rows)  # the values alone, one per line
+    _emit(table if args.format == "table" else render_records(rows, args.format), args.output)
     return 0
 
 
@@ -203,26 +176,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_number = sub.add_parser("number", help="one Segre number for a tuple")
-    _add_tuple_flags(p_number, required=True)
-    p_number.add_argument("--k", type=_order, required=True)
-    p_number.add_argument("--all-routes", action="store_true",
-                          help="also print the closed (when applicable) and lehn values")
-    _add_format_flags(p_number)
-    p_number.set_defaults(func=cmd_number)
+    parsers = {name: sub.add_parser(name, help=text) for name, text in (
+        ("number", "one Segre number for a tuple"),
+        ("series", "coefficients of a determined or generating series"),
+        ("lehn", "one Segre number via the Lehn generating function"),
+    )}
+    # `lehn` is `number` with its routes fixed to the Lehn route alone
+    for name, routes in (("number", ("engine",)), ("lehn", ("lehn",))):
+        p = parsers[name]
+        _add_tuple_flags(p, required=True)
+        p.add_argument("--k", type=_order, required=True)
+        if name == "number":
+            p.add_argument("--all-routes", dest="routes", action="store_const",
+                           const=("closed", *ROUTES),
+                           help="also print the closed (when applicable) and lehn values")
+        _add_format_flags(p)
+        p.set_defaults(func=cmd_number, routes=routes)
 
-    p_series = sub.add_parser("series", help="coefficients of a determined or generating series")
+    p_series = parsers["series"]
     p_series.add_argument("--which", choices=("A", "B", "C", "D", "s", "lehn"), required=True)
     p_series.add_argument("--order", type=_order, default=DEFAULT_ORDER)
     _add_tuple_flags(p_series, required=False)
     _add_format_flags(p_series)
     p_series.set_defaults(func=cmd_series)
-
-    p_lehn = sub.add_parser("lehn", help="one Segre number via the Lehn generating function")
-    _add_tuple_flags(p_lehn, required=True)
-    p_lehn.add_argument("--k", type=_order, required=True)
-    _add_format_flags(p_lehn)
-    p_lehn.set_defaults(func=cmd_lehn)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
     p_verify.add_argument("--max-k", type=_order, default=8)

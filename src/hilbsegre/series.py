@@ -176,7 +176,7 @@ class TruncatedPowerSeries:
         return self._coefficients == other._coefficients
 
     def __repr__(self) -> str:
-        body = ", ".join(str(c) for c in self._coefficients)
+        body = ", ".join(map(format_rational, self._coefficients))
         return f"TruncatedPowerSeries([{body}])"
 
     def __str__(self) -> str:
@@ -185,7 +185,7 @@ class TruncatedPowerSeries:
             if c == 0:
                 continue
             if k == 0:
-                terms.append(str(c))
+                terms.append(format_rational(c))
             else:
                 var = "z" if k == 1 else f"z^{k}"
                 if c == 1:
@@ -193,7 +193,7 @@ class TruncatedPowerSeries:
                 elif c == -1:
                     terms.append(f"-{var}")
                 else:
-                    terms.append(f"{c}*{var}")
+                    terms.append(f"{format_rational(c)}*{var}")
         body = " + ".join(terms) if terms else "0"
         return (body + f" + O(z^{self.order + 1})").replace("+ -", "- ")
 

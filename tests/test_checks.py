@@ -17,7 +17,7 @@ from fractions import Fraction
 import pytest
 
 from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn, universal
-from hilbsegre import universal_series_set
+from hilbsegre import format_rational, universal_series_set
 from hilbsegre.universal import UNIT_TUPLES
 from tests import test_acceptance
 
@@ -63,6 +63,17 @@ def test_closed_vs_recursion_checks_max_k_plus_one_genera(monkeypatch):
 def test_pascal_identity_catches_a_wrong_closed_value(monkeypatch):
     monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 3, 7))
     assert _single_failure(checks.pascal_identity, None, 0, 3).startswith("k=3, g=7: ")
+
+
+def test_k3_checks_print_a_counterexample_past_the_int_digit_limit(monkeypatch):
+    # str(int) refuses more than 4,300 digits since Python 3.10.7; a FAIL line does not
+    bump = 10**5000
+    closed = k3.closed_segre
+    monkeypatch.setattr(k3, "closed_segre", lambda k, g: closed(k, g) + bump * ((k, g) == (3, 7)))
+    for check in (checks.closed_vs_recursion, checks.pascal_identity):
+        counterexample = _single_failure(check, None, 0, 3)
+        assert counterexample.startswith("k=3, g=7: ")
+        assert format_rational(closed(3, 7) + bump) in counterexample
 
 
 def test_b_vs_bprime_catches_a_bumped_kernel_entry(monkeypatch):

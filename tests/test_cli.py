@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hilbsegre import SurfaceInvariants, parse_rational, segre_number, universal_series_set
 from hilbsegre import cli
-from hilbsegre.cli import MAX_ORDER, OutputRecord, main, render_records
+from hilbsegre.cli import MAX_ORDER, main, output_row, render_records
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +146,30 @@ def test_lehn_subcommand(capsys):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert row["route"] == "lehn"
     assert row["value"] == "0"
+
+
+@pytest.mark.parametrize("tuple_flags", [
+    ("--d", "28", "--pi", "4", "--kappa", "-1", "--e", "25"),
+    ("--d", "12", "--pi", "0", "--kappa", "0", "--e", "24"),
+    ("--d", "3", "--pi", "1", "--kappa", "-2", "--e", "12"),
+])
+def test_lehn_prints_the_lehn_row_of_number_all_routes(capsys, tuple_flags):
+    # one command path: `lehn` is `number` with its routes fixed to the Lehn route
+    number = ("number", *tuple_flags, "--k", "5", "--all-routes", "--format")
+    lehn_argv = ("lehn", *tuple_flags, "--k", "5", "--format")
+    _, out = run_cli(capsys, *number, "csv")
+    rows = {row["route"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert list(csv.DictReader(io.StringIO(run_cli(capsys, *lehn_argv, "csv")[1]))) == [rows["lehn"]]
+    records = {record["route"]: record for record in json.loads(run_cli(capsys, *number, "json")[1])}
+    assert json.loads(run_cli(capsys, *lehn_argv, "json")[1]) == [records["lehn"]]
+    lines = run_cli(capsys, *number, "table")[1].splitlines()
+    [lehn_line] = [line.split() for line in lines if line.split()[5] == "lehn"]
+    assert run_cli(capsys, *lehn_argv, "table")[1].splitlines()[1].split() == lehn_line
+    # the series command reads the same routes: its z^5 coefficients are these values
+    for which, route in (("s", "engine"), ("lehn", "lehn")):
+        code, out = run_cli(capsys, "series", "--which", which, *tuple_flags, "--order", "5")
+        assert code == 0
+        assert out.splitlines()[5] == rows[route]["value"]
 
 
 # -- exact values of any size ----------------------------------------------------
@@ -417,7 +441,7 @@ rationals = st.fractions(max_denominator=10**6)
 
 @given(rationals)
 def test_prop_csv_roundtrip(value):
-    record = OutputRecord(SurfaceInvariants(1, -2, 3, -4), 5, value, "engine")
+    record = output_row(SurfaceInvariants(1, -2, 3, -4), 5, "engine", value)
     text = render_records([record], "csv")
     row = list(csv.DictReader(io.StringIO(text)))[0]
     assert parse_rational(row["value"]) == value
@@ -426,6 +450,6 @@ def test_prop_csv_roundtrip(value):
 
 @given(rationals)
 def test_prop_json_roundtrip(value):
-    record = OutputRecord(SurfaceInvariants(0, 0, 0, 0), 2, value, "lehn")
+    record = output_row(SurfaceInvariants(0, 0, 0, 0), 2, "lehn", value)
     payload = json.loads(render_records([record], "json"))
     assert parse_rational(payload[0]["value"]) == value

@@ -583,7 +583,7 @@ INTEGER_KERNELS = {
 }
 
 
-def test_integer_kernels_are_defined_in_series_and_used_only_by_the_vanishing_solve():
+def test_integer_kernels_are_defined_in_series_and_used_only_by_the_cold_builds():
     # outside `series`, only the two cold builds, the engine's vanishing solve
     # and the Lehn substitution, work on integer logs, each through the kernels
     # listed for it; everything else goes through the public TruncatedPowerSeries API

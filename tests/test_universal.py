@@ -25,6 +25,7 @@ from hilbsegre import (
     determine_CD,
     determine_b_s1,
     extract_lehn_universal,
+    format_rational,
     k3,
     lehn,
     segre_number,
@@ -385,6 +386,16 @@ def test_k_factorial_times_sk_is_integer():
         for k in range(6):
             value = factorial(k) * segre_number(inv, k, U8)
             assert value.denominator == 1, (inv, k)
+
+
+def test_a_series_past_the_int_digit_limit_prints_exactly():
+    # the z^64 coefficient's numerator has 4,410 digits, past the 4,300 that
+    # str(int) refuses since Python 3.10.7: the display goes through format_rational
+    series = segre_series(SurfaceInvariants(10**70, 3, -1, 25), 64, universal_series_set(64))
+    top = format_rational(series[64])
+    assert len(top.split("/")[0]) > 4300
+    assert f" {top}*z^64 + O(z^65)" in str(series)
+    assert repr(series).endswith(f", {top}])")
 
 
 def test_negative_order_rejected():
