@@ -96,10 +96,46 @@ def test_verify_reports_a_failed_b_prime_certificate(monkeypatch, capsys):
 
 
 def test_engine_vs_lehn_grid_catches_one_wrong_lehn_series(monkeypatch):
-    inv = SurfaceInvariants(-3, -3, -3, 12)
+    inv = UNIT_TUPLES["C"]
     monkeypatch.setattr(lehn, "lehn_series", _bumped_at(lehn.lehn_series, inv, 2))
     counterexample = _single_failure(checks.engine_vs_lehn_grid, universal_series_set(5), 2, 2)
-    assert counterexample == "(d,pi,kappa,e)=(-3,-3,-3,12), k=0: engine 1 vs lehn 2"
+    assert counterexample == "(d,pi,kappa,e)=(0,1,0,0), k=0: engine 1 vs lehn 2"
+
+
+def test_engine_vs_lehn_grid_catches_an_exponent_fault_that_vanishes_at_e_0_12_24(monkeypatch):
+    # the slip is zero at e = 0, 12 and 24, so only a tuple with another e, here the unit B, sees it
+    exponents = lehn.lehn_exponents
+
+    def slipped(inv):
+        exps = exponents(inv)
+        return replace(exps, b=exps.b + inv.e * (inv.e - 12) * (inv.e - 24))
+
+    monkeypatch.setattr(lehn, "lehn_exponents", slipped)
+    counterexample = _single_failure(checks.engine_vs_lehn_grid, universal_series_set(5), 4, 2)
+    assert counterexample == "(d,pi,kappa,e)=(0,0,0,1), k=1: engine 0 vs lehn -506"
+
+
+@pytest.mark.parametrize(
+    ("check", "tuples"),
+    [
+        (checks.engine_vs_lehn_grid, [SurfaceInvariants(0, 0, 0, 0), *UNIT_TUPLES.values()]),
+        (checks.degenerate_family, [SurfaceInvariants(0, 2, 1, 11)]),
+    ],
+    ids=["engine-vs-lehn-grid", "degenerate-family"],
+)
+def test_cross_route_checks_evaluate_each_route_only_at_the_deciding_tuples(monkeypatch, check, tuples):
+    # both routes are exp of a form linear in the tuple, so these tuples decide each check
+    calls = {"engine": [], "lehn": []}
+    for module, name, route in ((universal, "segre_series", "engine"), (lehn, "lehn_series", "lehn")):
+
+        def spy(inv, order, *rest, fn=getattr(module, name), route=route):
+            calls[route].append(inv)
+            return fn(inv, order, *rest)
+
+        monkeypatch.setattr(module, name, spy)
+    [outcome] = check(universal_series_set(5), 4, 2)
+    assert outcome.ok
+    assert calls == {"engine": tuples, "lehn": tuples}
 
 
 def test_lehn_vanishing_catches_a_nonzero_coefficient(monkeypatch):

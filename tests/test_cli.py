@@ -215,7 +215,7 @@ SMALL_FAULT_REPORT = (
     "closed-vs-recursion: PASS\n"
     "pascal-identity: PASS\n"
     "b-vs-bprime: PASS\n"
-    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(-3,-3,-3,0), k=2: engine 51/2 vs lehn 57/2)\n"
+    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,0), k=2: engine 1/2 vs lehn -1/2)\n"
     "lehn-vanishing k=2: 0, 0 PASS\n"
     "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,1): polynomial 912 vs engine 2716/3; 69 of 126 simplex tuples differ)\n"
     "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
@@ -246,7 +246,7 @@ DEFAULT_FAULT_REPORT = (
     "closed-vs-recursion: PASS\n"
     "pascal-identity: PASS\n"
     "b-vs-bprime: PASS\n"
-    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(-3,-3,-3,0), k=2: engine 51/2 vs lehn 57/2)\n"
+    "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,0), k=2: engine 1/2 vs lehn -1/2)\n"
     "lehn-vanishing k=2: 0, 0 PASS\n"
     "lehn-vanishing k=3: 0, 0 PASS\n"
     "lehn-vanishing k=4: 0, 0 PASS\n"

@@ -9,6 +9,7 @@ the Lehn function at the single-exponent tuples.
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 from fractions import Fraction as F
 from math import factorial
 
@@ -363,13 +364,24 @@ def test_even_d_abelian_consistency():
         assert engine.coefficients == fraction_pow(b_series, d // 2).coefficients
 
 
-def test_multiplicativity_under_disjoint_union():
+@pytest.mark.parametrize("route", ["engine", "lehn"])
+def test_multiplicativity_under_disjoint_union(route):
+    # each route is exp of a form linear in the tuple: the premise of the proofs
+    # in checks.engine_vs_lehn_grid and checks.degenerate_family.  The draws have
+    # kappa + e not divisible by 12, so that chi = (kappa + e) / 12 is not an integer
+    evaluate = {"engine": lambda inv: segre_series(inv, 8, U8), "lehn": lambda inv: lehn.lehn_series(inv, 8)}
     rng = random.Random(7)
-    for _ in range(12):
-        first = SurfaceInvariants(*(rng.randint(-2, 2) for _ in range(4)))
-        second = SurfaceInvariants(*(rng.randint(-2, 2) for _ in range(4)))
-        left = segre_series(first + second, 8, U8)
-        right = segre_series(first, 8, U8) * segre_series(second, 8, U8)
+    pairs = []
+    while len(pairs) < 12:
+        first, second = (SurfaceInvariants(*(rng.randint(-2, 2) for _ in range(4))) for _ in range(2))
+        if all((inv.kappa + inv.e) % 12 for inv in (first, second, first + second)):
+            pairs.append((first, second))
+    for first, second in pairs:
+        if route == "lehn":
+            exponents = [astuple(lehn.lehn_exponents(inv)) for inv in (first, second, first + second)]
+            assert [x + y for x, y in zip(*exponents[:2])] == list(exponents[2])
+        left = evaluate[route](first + second)
+        right = evaluate[route](first) * evaluate[route](second)
         assert left.coefficients == right.coefficients
 
 
