@@ -37,9 +37,9 @@ DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
 #: The dearest one at order N, `verify --max-order N --max-k N`, took
-#: 1.4-2.5 s at N = 48, 6.5-8.3 s at 64 and 23 s at 96 on a 2-vCPU
-#: machine; at 128 it took 131 s at commit 0582266, and its
-#: kernel-roundtrips check alone 126 s, each in a fresh process.
+#: 1.4-2.5 s at N = 48, 4.9-8.0 s at 64 and 23 s at 96 on a 2-vCPU
+#: machine; at 128 it took 76 s (105 s at commit 0b19031), and its
+#: kernel-roundtrips check alone 58-90 s, each in a fresh process.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .series import ExactRational, TruncatedPowerSeries
 from .universal import SurfaceInvariants, segre_series, universal_series_set
@@ -65,10 +65,13 @@ def generalized_binomial(n: int, k: int) -> ExactRational:
 def closed_segre(k: int, g: int) -> ExactRational:
     """The genus-g K3 Segre number 2^k * C(g - 2k + 1, k).
 
-    Taken as the definition for every integer g, including g <= 0.
+    Taken as the definition for every integer g, including g <= 0,
+    where a negative upper index n has C(n, k) = (-1)^k C(k - n - 1, k).
     The value vanishes exactly on the window 2k - 1 <= g <= 3k - 2.
     """
-    return generalized_binomial(g - 2 * k + 1, k) * 2**k
+    n = g - 2 * k + 1
+    binomial = comb(n, k) if n >= 0 else (-1) ** k * comb(k - n - 1, k)
+    return Fraction(binomial << k)
 
 
 @dataclass(frozen=True)

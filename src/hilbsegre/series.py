@@ -7,25 +7,25 @@ supported by both operands.  Equality is exact, order included;
 `truncate` compares prefixes.  Coefficients are `fractions.Fraction` at
 the interface, so every operation is exact and every coefficient stays
 in canonical reduced form; floats are rejected on input.  Inside the
-product, exp, log and reversion kernels the coefficients are cleared of
-denominators once, the recurrence runs over Python integers, and each
-output coefficient is reduced once (Knuth, TAOCP vol. 2, 4.7).
+kernels the coefficients are cleared of denominators once, the
+recurrence runs over Python integers, and each output coefficient is
+reduced once (Knuth, TAOCP vol. 2, 4.7).
 
 Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
-enough to expand algebraic generating functions exactly.  Only the
-product, exp, log and reversion run recurrences of their own; powers
-(exp of a multiple of the log), division (the product with the inverse
-power of the divisor) and composition are built from them.  The two
-cold builds, the engine's vanishing solve and the Lehn substitution,
-keep their logs as the integers j log_j and run the kernels
-`_log_numerators` and `_exp_numerators` (step `_exp_step`) directly;
-`_exp_fractions`, the one way from exp numerators to `Fraction`s, serves
-them and `exp`.  Up to order K the exp kernel scales E_n by exactly
-K! den^n for the den it is given: one integer dot product and one exact
-division per coefficient.  `exp` passes the denominator of j f_j, which
-for the log of a generic rational series grows like lcm(1..N), so a
-power of such a series costs more at high order; the CLI stops at 64.
+enough to expand algebraic generating functions exactly.  A power
+f^(p/q) hands the log numerators m_j of j L_j = m_j / D^j to the exp
+kernel as the graded weights p q^(j-1) m_j; division multiplies by the
+inverse power of the divisor; composition is Horner's rule on integer
+numerators.  The two cold builds, the engine's vanishing solve and the
+Lehn substitution, keep their logs as the integers j log_j and run the
+kernels `_log_numerators` and `_exp_numerators` (step `_exp_step`)
+directly; `_exp_fractions`, the one way from exp numerators to
+`Fraction`s, serves them and `exp`.  Up to order K the exp kernel
+scales E_n by exactly K! den^n for the den it is given: one integer dot
+product and one exact division per coefficient.  `exp` passes the
+denominator of j f_j, which for the log of a generic rational series
+grows like lcm(1..N); `pow` passes q D.
 """
 
 from __future__ import annotations
@@ -235,13 +235,13 @@ class TruncatedPowerSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other) -> "TruncatedPowerSeries":
-        """f / g = f (g / g0)^(-1) / g0: one log, one exp, one product."""
+        """f / g = f (g / g0)^(-1) / g0: one integer `pow` and one product."""
         if isinstance(other, TruncatedPowerSeries):
             g0 = other._coefficients[0]
             if g0 == 0:
                 raise ValueError("non-unit divisor")
             unit = other.truncate(min(self.order, other.order)) / g0
-            return self * (-unit.log()).exp() / g0
+            return self * unit.pow(-1) / g0
         value = as_rational(other)
         return TruncatedPowerSeries([c / value for c in self._coefficients])
 
@@ -273,28 +273,34 @@ class TruncatedPowerSeries:
         return TruncatedPowerSeries(Fraction(x, (n or 1) * den**n) for n, x in enumerate(m))
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
-        """Raise to a rational power alpha as exp(alpha log f).
+        """Raise to a rational power alpha = p/q as exp(alpha log f), on integers.
 
         Non-negative integer exponents work for any base: the valuation
         v and the leading coefficient f_v are shifted out first, so
-        f^n = z^(n v) f_v^n exp(n log h) with h = z^(-v) f / f_v a unit.
-        Other exponents require the constant term to be exactly 1.
+        f^n = z^(n v) f_v^n u^n with u = z^(-v) f / f_v a unit.  Other
+        exponents require the constant term to be exactly 1, and u = f.
+        With u = F / F_0 over one denominator, `_log_numerators` gives
+        n L_n = m_n / F_0^n, and the exp kernel, handed the graded
+        weights p q^(j-1) m_j, gives u^alpha as E_n = h_n / (K! (q F_0)^n):
+        no `Fraction` log, and one `Fraction` per output coefficient.
         """
         alpha = as_rational(exponent)
-        f = self._coefficients
-        if alpha.denominator == 1 and alpha >= 0:
-            n = alpha.numerator
-            if n == 0:
+        p, q = alpha.numerator, alpha.denominator
+        f, lead, shift = self._coefficients, Fraction(1), 0
+        if q == 1 and p >= 0:
+            if p == 0:
                 return TruncatedPowerSeries.one(self.order)
             v = next((i for i, c in enumerate(f) if c), None)
-            if v is None or n * v > self.order:
+            if v is None or p * v > self.order:
                 return TruncatedPowerSeries.zero(self.order)
-            h = TruncatedPowerSeries(f[v:]).truncate(self.order - n * v) / f[v]
-            power = (h.log() * n).exp() * f[v] ** n
-            return TruncatedPowerSeries([Fraction(0)] * (n * v) + list(power))
-        if f[0] != 1:
+            f, lead, shift = f[v : v + self.order - p * v + 1], f[v] ** p, p * v
+        elif f[0] != 1:
             raise ValueError("rational power of non-unit series")
-        return (self.log() * alpha).exp()
+        F, _ = _scaled(f)
+        h = _exp_numerators([p * x for x in _log_numerators(F, F[0])], q)
+        den, scale = q * F[0], lead.denominator * h[0]  # u^alpha has E_n = h_n / (K! den^n)
+        power = [Fraction(lead.numerator * x, scale * den**n) for n, x in enumerate(h)]
+        return TruncatedPowerSeries([Fraction(0)] * shift + power)
 
     def __pow__(self, exponent: Scalar) -> "TruncatedPowerSeries":
         return self.pow(exponent)
@@ -302,15 +308,24 @@ class TruncatedPowerSeries:
     # -- composition ---------------------------------------------------------
 
     def compose(self, inner: "TruncatedPowerSeries") -> "TruncatedPowerSeries":
-        """Substitute `inner` (which must have zero constant term) into self."""
+        """Substitute `inner` (which must have zero constant term) into self.
+
+        Horner's rule on integers: each step reduces the running acc / den
+        by gcd(den, *acc), which keeps den the lcm of the reduced denominators.
+        """
         if inner._coefficients[0] != 0:
             raise ValueError("composition requires zero constant term")
         n = min(self.order, inner.order)
-        g = inner.truncate(n)
-        acc = TruncatedPowerSeries.constant(self._coefficients[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g + self._coefficients[k]
-        return acc
+        g, g_den = _scaled(inner._coefficients[: n + 1])
+        c = self._coefficients
+        acc, den = [c[n].numerator] + [0] * n, c[n].denominator
+        for k in range(n - 1, -1, -1):  # acc / den <- acc g / (den g_den) + c_k
+            step = lcm(den * g_den, c[k].denominator)
+            acc = [x * (step // (den * g_den)) for x in _convolve(acc, g, n)]
+            acc[0] += c[k].numerator * (step // c[k].denominator)
+            common = gcd(step, *acc)
+            acc, den = [x // common for x in acc], step // common
+        return TruncatedPowerSeries([Fraction(x, den) for x in acc])
 
     def revert(self) -> "TruncatedPowerSeries":
         """Compositional inverse g with f(g(z)) = z, for f0 = 0, f1 != 0.
@@ -379,6 +394,7 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
     h_n = (K!/n!) e_n for e_n = den^n n! E_n, and
     e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an integer by induction.  The scale is exactly K! den^n, whatever g;
     `_exp_fractions` divides den and g by their gcd first, to keep h_n short.
+    A graded log j f_j = g[j] / (den D^j), as in `pow`, has E_n = h[n] / (K! (den D)^n).
     """
     c, h = [], [factorial(len(g) - 1)]  # c_1 .. c_n, and h_0 .. h_n
     power = 1  # den^(n-1)

@@ -16,6 +16,8 @@ kernel clears denominators and runs over integers:
   exp(alpha log f);
 - `fraction_div`: long division, where the kernel multiplies by the
   inverse power of the divisor;
+- `fraction_compose`: Horner's rule over `fraction_mul` and `Fraction`
+  addition, where the kernel runs Horner's rule over integer numerators;
 - `fraction_probe_and_solve`: the engine's vanishing solve on `Fraction`
   logs with `fraction_exp` probes, where the engine keeps integer
   numerators of j log_j, calls the integer exp kernel and solves each
@@ -104,6 +106,18 @@ def fraction_div(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedP
     return TruncatedPowerSeries(q)
 
 
+def fraction_compose(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:
+    """f(g) for g0 = 0 by Horner's rule over `fraction_mul`, to the smaller order."""
+    if g[0] != 0:
+        raise ValueError("composition requires zero constant term")
+    n = min(f.order, g.order)
+    inner = g.truncate(n)
+    acc = TruncatedPowerSeries.constant(f[n], n)
+    for k in range(n - 1, -1, -1):
+        acc = fraction_mul(acc, inner) + f[k]
+    return acc
+
+
 def fraction_probe_and_solve(logs, slots, vanishings, N: int) -> None:
     """Fill logs[i][k], logs[j][k] for (i, j) = `slots`, k = 2 .. N, over Fraction.
 
@@ -148,20 +162,15 @@ def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:
     """Compositional inverse by undetermined coefficients.
 
     With g known below order m, the z^m coefficient of f(g) depends on
-    g_m only through f1 * g_m, so each order is one composition (by
-    Horner's rule over `fraction_mul`) and one exact division.  This
-    never consults the Lagrange formula used by
-    `TruncatedPowerSeries.revert`.
+    g_m only through f1 * g_m, so each order is one `fraction_compose`
+    and one exact division.  This never consults the Lagrange formula
+    used by `TruncatedPowerSeries.revert`.
     """
     n = f.order
     inv1 = 1 / f[1]
     g = [Fraction(0), inv1] + [Fraction(0)] * (n - 1)
     for m in range(2, n + 1):
-        inner = TruncatedPowerSeries(g[: m + 1])
-        h = TruncatedPowerSeries.constant(f[m], m)
-        for k in range(m - 1, -1, -1):
-            h = fraction_mul(h, inner) + f[k]
-        g[m] = -h[m] * inv1
+        g[m] = -fraction_compose(f.truncate(m), TruncatedPowerSeries(g[: m + 1]))[m] * inv1
     return TruncatedPowerSeries(g)
 
 

@@ -199,7 +199,9 @@ def test_k3_results_are_fractions():
     seqs = determine_b_s1(12)
     rows = recursion_table(12, 30, seqs)
     b_prime = determine_b_prime(12)
-    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row), *b_prime):
+    closed = [closed_segre(k, g) for k in range(13) for g in range(-40, 41)]
+    assert closed == [generalized_binomial(g - 2 * k + 1, k) * 2**k for k in range(13) for g in range(-40, 41)]
+    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row), *b_prime, *closed):
         assert type(value) is F
 
 

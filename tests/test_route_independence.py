@@ -71,7 +71,7 @@ def test_the_package_keeps_its_routes_independent():
 
 
 LEHN_IMPORT = "from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets"
-CLOSED_RETURN = "    return generalized_binomial(g - 2 * k + 1, k) * 2**k"
+CLOSED_RETURN = "    return Fraction(binomial << k)"
 ENGINE_RETURN = "    return segre_series(SurfaceInvariants(2 * g - 2, 0, 0, 24), k, universal_series_set(k))[k]"
 
 

@@ -24,6 +24,7 @@ from hilbsegre import (
 
 from tests._oracles import (
     exp_by_taylor_sum,
+    fraction_compose,
     fraction_div,
     fraction_exp,
     fraction_log,
@@ -409,6 +410,58 @@ def test_pow_and_div_match_fraction_references(seed):
             assert kernel.coefficients == reference.coefficients, (seed, order)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_compose_matches_fraction_reference(seed):
+    # outer denominators share factors with the inner series' common
+    # denominator 12, so the integer Horner rule has to reduce at each step
+    rng = random.Random(300 + seed)
+    for order in (0, 1, 2, 5, 9, 14):
+        outer = _seeded_series(rng, order, F(rng.randint(-9, 9), rng.choice((1, 4, MERSENNE_61))))
+        inner = _seeded_series(rng, rng.randint(0, order + 3), F(0))  # mixed orders
+        shared = TPS([F(rng.randint(-40, 40), rng.choice((2, 3, 4, 6, 36))) for _ in range(order + 1)])
+        twelfths = TPS([0] + [F(rng.randint(-40, 40), 12) for _ in range(order)])
+        pairs = [(outer, inner), (inner, outer - outer[0]), (shared, twelfths)]
+        pairs += [(outer, TPS.zero(order)), (shared, TPS.zero(0)), (TPS([outer[0]]), twelfths)]
+        for f, g in pairs:
+            kernel, reference = f.compose(g), fraction_compose(f, g)
+            assert kernel.order == reference.order == min(f.order, g.order)
+            assert kernel.coefficients == reference.coefficients, (seed, order)
+
+
+def test_unit_pow_is_exact_at_order_128():
+    # the order at which scaling exp by the lcm of a log's denominators made
+    # the integers of `pow` grow quadratically in bits; the series is drawn
+    # as in the kernel-roundtrips check
+    rng = random.Random(128)
+    unit = TPS([F(1)] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(128)])
+    assert unit.pow(F(1, 2)).coefficients == fraction_pow(unit, F(1, 2)).coefficients
+
+
+def test_pow_div_and_revert_run_no_series_exp_or_log_and_compose_no_product(monkeypatch):
+    rng = random.Random(12)
+    unit, f = _seeded_series(rng, 9, F(1)), _seeded_series(rng, 9, F(3, 4))
+    g = _seeded_series(rng, 11, F(-5, 3))
+    linear = TPS([0, F(2, 7)] + list(_seeded_series(rng, 8, F(1)).coefficients))
+    cases = {
+        "pow": (lambda: unit.pow(F(-2, 3)), fraction_pow(unit, F(-2, 3))),
+        "integer pow": (lambda: (f * Z6).pow(3), fraction_pow(f * Z6, 3)),
+        "/": (lambda: f / g, fraction_div(f, g)),
+        "1 /": (lambda: 1 / g, fraction_div(TPS.one(g.order), g)),
+        "revert": (lambda: linear.revert(), undetermined_revert(linear)),
+    }
+    composed = fraction_compose(f, linear)
+
+    def refuse(*args):
+        raise AssertionError("a series exp, log or product ran")
+
+    monkeypatch.setattr(TPS, "exp", refuse)
+    monkeypatch.setattr(TPS, "log", refuse)
+    for name, (run, reference) in cases.items():
+        assert run().coefficients == reference.coefficients, name
+    monkeypatch.setattr(TPS, "__mul__", refuse)
+    assert f.compose(linear).coefficients == composed.coefficients
+
+
 def test_integer_kernels_on_edge_series():
     zero = TPS.zero(5)
     f = _seeded_series(random.Random(7), 5, F(-1, MERSENNE_61))
@@ -560,6 +613,13 @@ def test_prop_integer_pow_matches_fraction_reference(valuation, lead, tail, n):
 def test_prop_div_matches_fraction_reference(f_tail, g_tail, f0, g0):
     f, g = TPS([f0] + f_tail), TPS([g0] + g_tail)
     assert (f / g).coefficients == fraction_div(f, g).coefficients
+
+
+@settings(max_examples=60)
+@given(wide_tails, wide_tails, wide_fractions)
+def test_prop_compose_matches_fraction_reference(f_tail, g_tail, f0):
+    f, g = TPS([f0] + f_tail), TPS([F(0)] + g_tail)
+    assert f.compose(g).coefficients == fraction_compose(f, g).coefficients
 
 
 @settings(max_examples=40)
