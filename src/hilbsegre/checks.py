@@ -7,10 +7,10 @@ vanishing checks.  `REGISTRY` is in report order.  The library is
 called through its modules (`k3.closed_segre`), so what runs is what the
 module attribute holds, such as a tracing wrapper or an injected fault.
 s5-polynomial (126 simplex tuples), closed-vs-recursion (max_k + 1 or
-more genera), engine-vs-lehn-grid (the zero and unit tuples) and
-degenerate-family (kappa = 1) prove their identities rather than sample
-them; their docstrings give the argument.  Every value in a report goes
-through `format_rational`.
+more genera, and two for Lehn), engine-vs-lehn-grid (the zero and unit
+tuples) and degenerate-family (kappa = 1) prove their identities rather
+than sample them; their docstrings give the argument.  Every value in a
+report goes through `format_rational`.
 """
 
 from __future__ import annotations
@@ -97,19 +97,35 @@ def kernel_roundtrips(U, order: int, max_k: int):
 
 @_single("closed-vs-recursion")
 def closed_vs_recursion(U, order: int, max_k: int):
-    """The K3 recursion table equals the closed formula for k <= max_k, 1 <= g <= G.
+    """The genus columns of the engine and of Lehn equal the closed formula to index max_k.
 
-    G = max(30, max_k + 1).  Row k of both sides is a polynomial of
+    The engine's genus-g K3 series is b^(g-1) s1: its columns are s1
+    and then b times the column before, compared for 1 <= g <= G =
+    max(30, max_k + 1).  Coefficient k of both sides is a polynomial of
     degree at most k in g, so agreement at max_k + 1 genera is agreement
     at every g.
+
+    Lehn's series L_g at the K3 tuple (2g - 2, 0, 0, 24) is compared at
+    g = 1 and 2 only, closed against Lehn with no engine in between.
+    That decides every g: L_g is exp of a form linear in the tuple, so
+    L_g = L_1 (L_2 / L_1)^(g-1), and b-vs-bprime certifies
+    S_g = S_1 b'^(g-1) for the closed series, so S_2 / S_1 = b'.
     """
-    genera = max(30, max_k + 1)
-    rows = k3.recursion_table(max_k, genera, k3.determine_b_s1(max_k))
-    for k in range(max_k + 1):
-        for g in range(1, genera + 1):
-            lhs, rhs = rows[k][g - 1], k3.closed_segre(k, g)
-            if lhs != rhs:
-                return f"k={k}, g={g}: recursion {_str(lhs)} vs closed {_str(rhs)}"
+
+    def columns():
+        b, column = k3.determine_b_s1(max_k)
+        yield "recursion", 1, column
+        for g in range(2, max(30, max_k + 1) + 1):
+            column = b * column
+            yield "recursion", g, column
+        for g in (1, 2):
+            yield "lehn", g, lehn.lehn_series(universal.SurfaceInvariants(2 * g - 2, 0, 0, 24), max_k)
+
+    for route, g, column in columns():
+        closed = [k3.closed_segre(k, g) for k in range(max_k + 1)]
+        if list(column) != closed:
+            k = next(k for k, (x, y) in enumerate(zip(column, closed)) if x != y)
+            return f"k={k}, g={g}: {route} {_str(column[k])} vs closed {_str(closed[k])}"
 
 
 @_single("pascal-identity")
@@ -126,12 +142,12 @@ def pascal_identity(U, order: int, max_k: int):
 
 @_single("b-vs-bprime")
 def b_vs_bprime(U, order: int, max_k: int):
-    """The recursion's kernel b equals the certified quotient b' to index max_k."""
+    """The engine's kernel b = A^2 equals the certified quotient b' to index max_k."""
     try:
         b_prime = k3.determine_b_prime(max_k)
     except ArithmeticError as failed_certificate:
         return str(failed_certificate)
-    pairs = itertools.zip_longest(k3.determine_b_s1(max_k).b, b_prime)
+    pairs = itertools.zip_longest(k3.determine_b_s1(max_k)[0], b_prime)
     for l, (x, y) in enumerate(pairs):
         if x != y:
             return f"index {l}: b={_str(x)} vs b'={_str(y)}"

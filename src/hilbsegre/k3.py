@@ -1,4 +1,4 @@
-"""Closed formula and recursion machinery for the K3 Segre numbers.
+"""Closed formula and the engine's two series for the K3 Segre numbers.
 
 For a K3 surface with a polarization of self-intersection 2g - 2, the
 top Segre number of the rank-k tautological bundle is
@@ -6,19 +6,23 @@ top Segre number of the rank-k tautological bundle is
     s(k, g) = 2^k * C(g - 2k + 1, k),
 
 where C(n, k) = n (n-1) ... (n-k+1) / k! is the generalized binomial,
-defined for every integer n.  The same numbers satisfy a convolution
-recursion in the genus direction,
+defined for every integer n.
 
-    s(k, g) = sum_{l=0..k} b_l * s(k-l, g-1),
+The engine reaches the same numbers through two series.  Its genus-g
+K3 series, at (d, pi, kappa, e) = (2g - 2, 0, 0, 24), is
+A^(2g-2) B^24 = b^(g-1) s1, with b = A^2 the series of a principally
+polarized abelian surface (2, 0, 0, 0) and s1 = B^24 the genus-one
+column (0, 0, 0, 24).  So the genus columns s(0, g) + s(1, g) z + ...
+are s1, b s1, b^2 s1, ..., each the series product of b with the one
+before; coefficient by coefficient that is the convolution recursion
 
-whose kernel b_l is the sequence of abelian-surface Segre numbers for a
-principal polarization: the genus-g series is b(z)^(g-1) s_1(z).  In
-the engine's terms b = A^2 and s_1 = B^24, so the two vanishings
-s(k, 2k) = s(k, 2k-1) = 0 for k >= 2 that fix A and B also pin down b
-and the genus-one column s(k, 1).  `determine_b_s1` reads both as engine
-series through the public API of `universal`, whose solve never
-consults the closed formula, so the recursion and the closed formula
-stay independent and can be tested against each other.
+    s(k, g) = sum_{l=0..k} b_l * s(k-l, g-1).
+
+The two vanishings s(k, 2k) = s(k, 2k-1) = 0 for k >= 2 that fix A and
+B also pin down b and s1.  `determine_b_s1` reads both through the
+public API of `universal`, whose solve never consults the closed
+formula, so the columns and the closed formula stay independent and
+can be tested against each other.
 
 `determine_b_prime` recovers the same kernel a third way, from the
 closed formula alone: the closed genus-g series S_g(z) = sum_k s(k, g) z^k
@@ -30,7 +34,6 @@ identity for every g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -38,13 +41,11 @@ from .series import ExactRational, TruncatedPowerSeries
 from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 __all__ = [
-    "BSequences",
     "closed_segre",
     "determine_b_prime",
     "determine_b_s1",
     "generalized_binomial",
     "recursion_segre",
-    "recursion_table",
 ]
 
 
@@ -74,63 +75,34 @@ def closed_segre(k: int, g: int) -> ExactRational:
     return Fraction(binomial << k)
 
 
-@dataclass(frozen=True)
-class BSequences:
-    """Sequences determined by the recursion and its vanishings.
-
-    `b` is the abelian kernel and `s1` the genus-one column.  The seeds
-    b_0 = 1, b_1 = 2, s1_0 = 1, s1_1 = 0 are checked on creation.
-    """
-
-    b: tuple[ExactRational, ...]
-    s1: tuple[ExactRational, ...]
-
-    def __post_init__(self):
-        if len(self.b) != len(self.s1):
-            raise ValueError("b and s1 must be filled to the same index")
-        for name, seq, seeds in (("b", self.b, (1, 2)), ("s1", self.s1, (1, 0))):
-            for i, expected in enumerate(seeds):
-                if len(seq) > i and seq[i] != expected:
-                    raise ValueError(f"{name}[{i}] must be {expected}, got {seq[i]}")
-
-
-def recursion_table(K: int, G: int, seqs: BSequences) -> list[list[Fraction]]:
-    """Rows s(l, g) for 0 <= l <= K, 1 <= g <= G by iterating the convolution.
-
-    Row l at genus g sits at rows[l][g - 1]; one table answers every
-    (k, g) inside it, at O(K^2 G) for the whole table.  Genus column g
-    is the series s(0, g) + s(1, g) z + ..., and each next column is the
-    series product of b with the previous one.
-    """
-    if G < 1:
-        raise ValueError("recursion route is defined for g >= 1 only")
-    if K < 0:
-        raise ValueError("k must be non-negative")
-    if len(seqs.b) <= K:
-        raise ValueError("b-sequence too short")
-    b = TruncatedPowerSeries(seqs.b[: K + 1])
-    columns = [TruncatedPowerSeries(seqs.s1[: K + 1])]
-    for _ in range(G - 1):
-        columns.append(b * columns[-1])
-    return [list(row) for row in zip(*columns)]
-
-
-def determine_b_s1(K: int) -> BSequences:
-    """Determine b and the genus-one column up to index K.
+def determine_b_s1(K: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
+    """The kernel b and the genus-one column s1 as series of order K.
 
     b is the engine series of a principally polarized abelian surface,
     (d, pi, kappa, e) = (2, 0, 0, 0), and s1 that of a K3 surface with
     the trivial bundle, (0, 0, 0, 24): A^2 and B^24, which the K3
-    vanishings s(k, 2k) = s(k, 2k - 1) = 0 determine.
+    vanishings s(k, 2k) = s(k, 2k - 1) = 0 determine.  The series set
+    is normalized to A = 1 + z + ... and B = 1 + 0 z + ..., so b starts
+    1, 2 and s1 starts 1, 0.
     """
     U = universal_series_set(K)
-    b, s1 = (segre_series(SurfaceInvariants(*raw), K, U) for raw in ((2, 0, 0, 0), (0, 0, 0, 24)))
-    return BSequences(b=b.coefficients, s1=s1.coefficients)
+    return tuple(segre_series(SurfaceInvariants(*raw), K, U) for raw in ((2, 0, 0, 0), (0, 0, 0, 24)))
 
 
-def recursion_segre(k: int, g: int, seqs: BSequences) -> ExactRational:
-    """s(k, g) for g >= 1, read from the recursion table up to (k, g)."""
-    return recursion_table(k, g, seqs)[k][g - 1]
+def recursion_segre(
+    k: int, g: int, seqs: tuple[TruncatedPowerSeries, TruncatedPowerSeries]
+) -> ExactRational:
+    """s(k, g) for g >= 1: coefficient k of b^(g-1) s1, for the pair (b, s1).
+
+    A view kept because the benchmark traces it by name; ROADMAP item 1
+    deletes it together with that trace.
+    """
+    if g < 1:
+        raise ValueError("recursion route is defined for g >= 1 only")
+    b, s1 = seqs
+    if b.order < k:
+        raise ValueError("b-sequence too short")
+    return (b.truncate(k) ** (g - 1) * s1.truncate(k))[k]
 
 
 def determine_b_prime(K: int) -> tuple[ExactRational, ...]:

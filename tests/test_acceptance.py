@@ -67,7 +67,8 @@ def test_criterion_02_vanishing_range():
 
 def test_criterion_03_b_sequence_determination():
     with _Timer("03 b-determination", 1.0):
-        assert determine_b_s1(10).b[:3] == (1, 2, -8)  # b_2: the hand-telescoped k = 2 system
+        b, _ = determine_b_s1(10)
+        assert b.coefficients[:3] == (1, 2, -8)  # b_2: the hand-telescoped k = 2 system
         _passes(checks.b_vs_bprime, None, 0, 10)
 
 

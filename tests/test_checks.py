@@ -60,6 +60,22 @@ def test_closed_vs_recursion_checks_max_k_plus_one_genera(monkeypatch):
     assert counterexample.startswith("k=31, g=31: recursion ")
 
 
+def test_closed_vs_recursion_catches_a_wrong_lehn_series_at_genus_two(monkeypatch):
+    # the engine's columns still agree; only the closed-against-Lehn side of the triangle sees it
+    monkeypatch.setattr(lehn, "lehn_series", _bumped_at(lehn.lehn_series, SurfaceInvariants(2, 0, 0, 24), 3))
+    counterexample = _single_failure(checks.closed_vs_recursion, None, 0, 3)
+    assert counterexample == "k=0, g=2: lehn 2 vs closed 1"
+
+
+def test_closed_vs_recursion_reads_lehn_only_at_the_k3_genera_one_and_two(monkeypatch):
+    # Lehn's series is exp of a form linear in the tuple, so genera 1 and 2 decide every g
+    calls, series = [], lehn.lehn_series
+    monkeypatch.setattr(lehn, "lehn_series", lambda inv, order: calls.append(inv) or series(inv, order))
+    [outcome] = checks.closed_vs_recursion(None, 0, 4)
+    assert outcome.ok
+    assert calls == [SurfaceInvariants(0, 0, 0, 24), SurfaceInvariants(2, 0, 0, 24)]
+
+
 def test_pascal_identity_catches_a_wrong_closed_value(monkeypatch):
     monkeypatch.setattr(k3, "closed_segre", _bumped_at(k3.closed_segre, 3, 7))
     assert _single_failure(checks.pascal_identity, None, 0, 3).startswith("k=3, g=7: ")
@@ -228,8 +244,8 @@ def _fault_in_b(monkeypatch):
     determine = k3.determine_b_s1
 
     def bumped(K):
-        seqs = determine(K)
-        return replace(seqs, b=_bumped(seqs.b, 3))
+        b, s1 = determine(K)
+        return TruncatedPowerSeries(_bumped(b, 3)), s1
 
     monkeypatch.setattr(k3, "determine_b_s1", bumped)
 

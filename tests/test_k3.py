@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hilbsegre import (
-    BSequences,
+    TruncatedPowerSeries,
     cli,
     closed_segre,
     determine_b_prime,
@@ -24,7 +24,6 @@ from hilbsegre import (
     generalized_binomial,
     k3,
     recursion_segre,
-    recursion_table,
 )
 
 from tests._oracles import b_s1_by_table_induction, finite_differences
@@ -115,28 +114,28 @@ def test_closed_is_polynomial_of_degree_k_in_g():
 
 
 def test_seed_sequences():
-    seqs = determine_b_s1(1)
-    assert seqs.b == (F(1), F(2))
-    assert seqs.s1 == (F(1), F(0))
+    b, s1 = determine_b_s1(1)
+    assert b.coefficients == (F(1), F(2))
+    assert s1.coefficients == (F(1), F(0))
 
 
 def test_hand_solved_prefixes():
-    seqs = determine_b_s1(4)
-    assert seqs.b == B_PREFIX
-    assert seqs.s1 == S1_PREFIX
+    b, s1 = determine_b_s1(4)
+    assert b.coefficients == B_PREFIX
+    assert s1.coefficients == S1_PREFIX
 
 
 def test_s1_matches_closed_genus_one():
-    seqs = determine_b_s1(10)
+    _, s1 = determine_b_s1(10)
     for k in range(11):
-        assert seqs.s1[k] == closed_segre(k, 1)
+        assert s1[k] == closed_segre(k, 1)
 
 
 @pytest.mark.parametrize("K", [0, 1, 2, 5, 17, 40])
 def test_b_s1_equal_the_table_induction(K):
-    seqs = determine_b_s1(K)
-    assert (seqs.b, seqs.s1) == b_s1_by_table_induction(K)
-    assert all(type(value) is F for value in (*seqs.b, *seqs.s1))
+    b, s1 = determine_b_s1(K)
+    assert (b.coefficients, s1.coefficients) == b_s1_by_table_induction(K)
+    assert all(type(value) is F for value in (*b, *s1))
 
 
 def test_b_s1_refuses_a_negative_length():
@@ -144,14 +143,15 @@ def test_b_s1_refuses_a_negative_length():
         determine_b_s1(-1)
 
 
-def test_bsequences_validates_seeds():
-    with pytest.raises(ValueError):
-        BSequences(b=(F(1), F(3)), s1=(F(1), F(0)))
-    with pytest.raises(ValueError):
-        BSequences(b=(F(1), F(2)), s1=(F(1), F(1)))
+# -- recursion route: the genus columns b^(g-1) s1 -------------------------------------
 
 
-# -- recursion route -----------------------------------------------------------------
+def _genus_columns(b, s1, G):
+    """The columns s1, b s1, ..., b^(G-1) s1, each the product of b with the one before."""
+    columns = [s1]
+    for _ in range(G - 1):
+        columns.append(b * columns[-1])
+    return columns
 
 
 def test_recursion_k1():
@@ -173,35 +173,38 @@ def test_recursion_matches_closed():
             assert recursion_segre(k, g, seqs) == closed_segre(k, g), (k, g)
 
 
-def test_recursion_table_matches_closed_to_k30():
+def test_genus_columns_match_closed_to_k30():
     seqs = determine_b_s1(30)
-    rows = recursion_table(30, 100, seqs)
+    columns = _genus_columns(*seqs, 100)
     for g in (1, 2, 30, 61, 100):
         for k in range(31):
-            assert rows[k][g - 1] == closed_segre(k, g), (k, g)
-    assert recursion_segre(30, 61, seqs) == rows[30][60]
+            assert columns[g - 1][k] == closed_segre(k, g), (k, g)
+    assert recursion_segre(30, 61, seqs) == columns[60][30]
 
 
-def test_recursion_table_over_rational_sequences():
-    # the integer table runs over one common denominator; check it against
-    # the convolution iterated directly over Fraction
-    seqs = BSequences(b=(F(1), F(2), F(1, 3), F(-5, 7)), s1=(F(1), F(0), F(2, 9), F(4, 5)))
-    expected = [[seqs.s1[l]] for l in range(4)]
+def test_recursion_segre_over_rational_series():
+    # check the series power and product against the convolution iterated
+    # directly over Fraction
+    b, s1 = (F(1), F(2), F(1, 3), F(-5, 7)), (F(1), F(0), F(2, 9), F(4, 5))
+    seqs = (TruncatedPowerSeries(b), TruncatedPowerSeries(s1))
+    expected = [[s1[l]] for l in range(4)]
     for g in range(2, 7):
         for l in range(4):
-            expected[l].append(sum(seqs.b[j] * expected[l - j][g - 2] for j in range(l + 1)))
-    assert recursion_table(3, 6, seqs) == expected
+            expected[l].append(sum(b[j] * expected[l - j][g - 2] for j in range(l + 1)))
+    assert [[recursion_segre(l, g, seqs) for g in range(1, 7)] for l in range(4)] == expected
+    assert [list(column) for column in zip(*_genus_columns(*seqs, 6))] == expected
 
 
 def test_k3_results_are_fractions():
-    # the recursion runs over int, and Fraction(3) == 3, so equality checks
+    # the series kernels run over int, and Fraction(3) == 3, so equality checks
     # cannot see a leaked int; the boundary type is checked directly
-    seqs = determine_b_s1(12)
-    rows = recursion_table(12, 30, seqs)
+    b, s1 = determine_b_s1(12)
+    columns = _genus_columns(b, s1, 30)
     b_prime = determine_b_prime(12)
     closed = [closed_segre(k, g) for k in range(13) for g in range(-40, 41)]
     assert closed == [generalized_binomial(g - 2 * k + 1, k) * 2**k for k in range(13) for g in range(-40, 41)]
-    for value in (*seqs.b, *seqs.s1, *(v for row in rows for v in row), *b_prime, *closed):
+    recursion = [recursion_segre(k, g, (b, s1)) for k in (0, 5, 12) for g in (1, 2, 30)]
+    for value in (*b, *s1, *(v for column in columns for v in column), *b_prime, *closed, *recursion):
         assert type(value) is F
 
 
@@ -227,14 +230,14 @@ def test_b_prime_seeds():
 
 
 def test_b_prime_matches_b():
-    b = determine_b_s1(10).b
-    assert determine_b_prime(10) == b
+    b, _ = determine_b_s1(10)
+    assert determine_b_prime(10) == b.coefficients
     assert determine_b_prime(2)[2] == -8
 
 
 @pytest.mark.parametrize("K", [16, cli.MAX_ORDER])
 def test_b_prime_matches_b_at_reach(K):
-    assert determine_b_s1(K).b == determine_b_prime(K)
+    assert determine_b_s1(K)[0].coefficients == determine_b_prime(K)
 
 
 def test_b_prime_stability_across_system_sizes():
@@ -257,6 +260,6 @@ def test_b_prime_certificate_catches_a_wrong_closed_value(monkeypatch, at, first
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=1, max_value=25))
 def test_prop_convolution_identity_for_closed_values(k, g):
     # the closed values satisfy the recursion with the determined kernel
-    b = determine_b_s1(k).b
+    b, _ = determine_b_s1(k)
     total = sum(b[l] * closed_segre(k - l, g - 1) for l in range(k + 1))
     assert total == closed_segre(k, g)

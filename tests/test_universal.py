@@ -88,12 +88,12 @@ def test_B_prefix():
 
 def test_A_squares_to_abelian_series():
     A, _ = determine_AB(8)
-    assert (A * A).coefficients == determine_b_s1(8).b
+    assert A * A == determine_b_s1(8)[0]
 
 
 def test_B_24th_power_is_genus_one_series():
     _, B = determine_AB(8)
-    assert fraction_pow(B, 24).coefficients == determine_b_s1(8).s1
+    assert fraction_pow(B, 24) == determine_b_s1(8)[1]
 
 
 @pytest.mark.parametrize("N", (0, 1, 12))
@@ -353,12 +353,12 @@ def test_k3_family_matches_closed_formula_at_max_order():
 
 def test_abelian_family_matches_b_sequence():
     series = segre_series(SurfaceInvariants(2, 0, 0, 0), 8, U8)
-    assert series.coefficients == determine_b_s1(8).b
+    assert series == determine_b_s1(8)[0]
 
 
 def test_even_d_abelian_consistency():
     # the d = 2 normalization determines every even-d abelian series by multiplicativity
-    b_series = TruncatedPowerSeries(determine_b_s1(8).b)
+    b_series, _ = determine_b_s1(8)
     for d in (4, 6):
         engine = segre_series(SurfaceInvariants(d, 0, 0, 0), 8, U8)
         assert engine.coefficients == fraction_pow(b_series, d // 2).coefficients
