@@ -1,20 +1,20 @@
 """Command-line front end: numbers, series inspection, cross-route verification.
 
-Subcommands:
+Subcommands, one per kind of output:
 
-    number   one Segre number via the engine (optionally all routes)
+    number   one Segre number via the engine; --all-routes adds the
+             closed (on a K3 tuple) and lehn rows
     series   coefficients of A, B, C, D or of a full generating series
-    lehn     exactly the `lehn` row of `number --all-routes`
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings of any size, never as
 decimals.  The truncation order of `series` and `verify` is 8 unless
-their --order and --max-order flags say otherwise; `number` and `lehn`
-evaluate at order --k.  No order, k or max-k may exceed MAX_ORDER:
-argparse refuses one as a usage error before any work starts.  Exit
-codes: 0 success, 1 verification failure, 2 usage error or an
-`--output` path that cannot be written, which is also found before any
-work starts.
+their --order and --max-order flags say otherwise; `number` evaluates
+at order --k.  No order, k or max-k may exceed MAX_ORDER: argparse
+refuses one as a usage error before any work starts.  Exit codes:
+0 success, 1 verification failure, 2 usage error or an `--output`
+path that cannot be written, which is also found before any work
+starts.
 """
 
 from __future__ import annotations
@@ -36,10 +36,8 @@ from .universal import UNIT_TUPLES, SurfaceInvariants, segre_series, universal_s
 DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
-#: The dearest one at order N, `verify --max-order N --max-k N`, took
-#: 1.4-2.5 s at N = 48, 4.9-8.0 s at 64 and 23 s at 96 on a 2-vCPU
-#: machine; at 128 it took 76 s (105 s at commit 0b19031), and its
-#: kernel-roundtrips check alone 58-90 s, each in a fresh process.
+#: The dearest one, `verify --max-order N --max-k N`, took 4.9-8.0 s
+#: at N = 64 and 76 s at N = 128 on a 2-vCPU machine.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 
@@ -96,7 +94,7 @@ def _closed_applicable(inv: SurfaceInvariants) -> bool:
 
 
 def cmd_number(args: argparse.Namespace) -> int:
-    """`number` and `lehn`: one row per route in `args.routes`; closed only on a K3 tuple."""
+    """One row per route in `args.routes`: the engine, or all three; closed only on a K3 tuple."""
     inv, k = _invariants_from(args), args.k
     rows = []
     for route in args.routes:
@@ -176,24 +174,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    parsers = {name: sub.add_parser(name, help=text) for name, text in (
-        ("number", "one Segre number for a tuple"),
-        ("series", "coefficients of a determined or generating series"),
-        ("lehn", "one Segre number via the Lehn generating function"),
-    )}
-    # `lehn` is `number` with its routes fixed to the Lehn route alone
-    for name, routes in (("number", ("engine",)), ("lehn", ("lehn",))):
-        p = parsers[name]
-        _add_tuple_flags(p, required=True)
-        p.add_argument("--k", type=_order, required=True)
-        if name == "number":
-            p.add_argument("--all-routes", dest="routes", action="store_const",
-                           const=("closed", *ROUTES),
-                           help="also print the closed (when applicable) and lehn values")
-        _add_format_flags(p)
-        p.set_defaults(func=cmd_number, routes=routes)
+    p_number = sub.add_parser("number", help="one Segre number for a tuple")
+    _add_tuple_flags(p_number, required=True)
+    p_number.add_argument("--k", type=_order, required=True)
+    p_number.add_argument("--all-routes", dest="routes", action="store_const",
+                          const=("closed", *ROUTES),
+                          help="also print the closed (when applicable) and lehn values")
+    _add_format_flags(p_number)
+    p_number.set_defaults(func=cmd_number, routes=("engine",))
 
-    p_series = parsers["series"]
+    p_series = sub.add_parser("series", help="coefficients of a determined or generating series")
     p_series.add_argument("--which", choices=("A", "B", "C", "D", "s", "lehn"), required=True)
     p_series.add_argument("--order", type=_order, default=DEFAULT_ORDER)
     _add_tuple_flags(p_series, required=False)
@@ -217,7 +207,3 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "output", None) is not None:
         _emit("", args.output)  # open it now, as a shell redirection would: fail before any work
     return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

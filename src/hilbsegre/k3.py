@@ -37,7 +37,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .series import ExactRational, TruncatedPowerSeries
+from .series import TruncatedPowerSeries
 from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 __all__ = [
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-def generalized_binomial(n: int, k: int) -> ExactRational:
+def generalized_binomial(n: int, k: int) -> Fraction:
     """Falling-factorial binomial n(n-1)...(n-k+1)/k!, any integer n.
 
     Always 1 for k = 0, and 0 exactly when 0 <= n < k.  For integer n
@@ -63,7 +63,7 @@ def generalized_binomial(n: int, k: int) -> ExactRational:
     return Fraction(num // factorial(k))
 
 
-def closed_segre(k: int, g: int) -> ExactRational:
+def closed_segre(k: int, g: int) -> Fraction:
     """The genus-g K3 Segre number 2^k * C(g - 2k + 1, k).
 
     Taken as the definition for every integer g, including g <= 0,
@@ -91,7 +91,7 @@ def determine_b_s1(K: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
 
 def recursion_segre(
     k: int, g: int, seqs: tuple[TruncatedPowerSeries, TruncatedPowerSeries]
-) -> ExactRational:
+) -> Fraction:
     """s(k, g) for g >= 1: coefficient k of b^(g-1) s1, for the pair (b, s1).
 
     A view kept because the benchmark traces it by name; ROADMAP item 1
@@ -105,7 +105,7 @@ def recursion_segre(
     return (b.truncate(k) ** (g - 1) * s1.truncate(k))[k]
 
 
-def determine_b_prime(K: int) -> tuple[ExactRational, ...]:
+def determine_b_prime(K: int) -> tuple[Fraction, ...]:
     """Recover the convolution kernel from the closed formula alone.
 
     b' = S_1 / S_0 for the closed genus-g series S_g to order K, certified

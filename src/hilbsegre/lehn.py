@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_fractions, _exp_of_combination
+from .series import TruncatedPowerSeries, _exp_fractions, _exp_of_combination
 from .series import _grown_by_prefix, _log_numerators
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
@@ -63,10 +63,10 @@ __all__ = [
 class LehnExponents:
     """Exponents (a, b, c) and the Euler characteristic chi for one tuple."""
 
-    a: ExactRational
-    b: ExactRational
-    c: ExactRational
-    chi: ExactRational
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    chi: Fraction
 
 
 def lehn_exponents(inv: SurfaceInvariants) -> LehnExponents:
@@ -164,9 +164,7 @@ def extract_lehn_universal(N: int) -> UniversalSeriesSet:
     return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, map(TruncatedPowerSeries, units))))
 
 
-def verify_lehn_vanishings(
-    max_k: int,
-) -> tuple[tuple[int, SurfaceInvariants, ExactRational], ...]:
+def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fraction], ...]:
     """z^k coefficients of the Lehn function at both vanishing tuples.
 
     The Lehn route never saw the blow-up constraints, so every reported
@@ -184,7 +182,7 @@ def verify_lehn_vanishings(
     return tuple(report)
 
 
-def eval_s5_polynomial(inv: SurfaceInvariants) -> ExactRational:
+def eval_s5_polynomial(inv: SurfaceInvariants) -> Fraction:
     """The published closed polynomial for the fifth Segre number.
 
     Evaluates the degree-5 integer polynomial giving 5! * s_5 in terms

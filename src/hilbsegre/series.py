@@ -39,16 +39,11 @@ from operator import mul
 from typing import Iterable, Iterator, Union
 
 __all__ = [
-    "ExactRational",
     "TruncatedPowerSeries",
     "as_rational",
     "format_rational",
     "parse_rational",
 ]
-
-#: The coefficient field.  `fractions.Fraction` already maintains the
-#: canonical reduced form (positive denominator, gcd 1, zero as 0/1).
-ExactRational = Fraction
 
 Scalar = Union[int, Fraction]
 

@@ -48,7 +48,7 @@ from functools import cached_property
 from math import factorial
 from operator import mul
 
-from .series import ExactRational, TruncatedPowerSeries, _exp_fractions
+from .series import TruncatedPowerSeries, _exp_fractions
 from .series import _exp_of_combination, _exp_step, _grown_by_prefix
 
 __all__ = [
@@ -283,8 +283,6 @@ def segre_series(
     return _exp_of_combination(zip(inv.as_tuple(), U._logs), N)
 
 
-def segre_number(inv: SurfaceInvariants, k: int, U: UniversalSeriesSet) -> ExactRational:
+def segre_number(inv: SurfaceInvariants, k: int, U: UniversalSeriesSet) -> Fraction:
     """The k-th Segre number for `inv` through the engine."""
-    if k > U.order:
-        raise ValueError("insufficient truncation order")
     return segre_series(inv, k, U)[k]

@@ -6,9 +6,11 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -137,15 +139,30 @@ def test_series_json_schema(capsys):
     assert payload[2]["value"] == "1/2"
 
 
-# -- lehn ----------------------------------------------------------------------
+# -- the lehn route -------------------------------------------------------------
 
 
-def test_lehn_subcommand(capsys):
-    code, out = run_cli(capsys, "lehn", "--d", "29", "--pi", "5", "--kappa", "-1", "--e", "25", "--k", "5", "--format", "csv")
+def test_number_all_routes_lehn_row(capsys):
+    code, out = run_cli(
+        capsys, "number", "--d", "29", "--pi", "5", "--kappa", "-1", "--e", "25",
+        "--k", "5", "--all-routes", "--format", "csv",
+    )
     assert code == 0
-    row = list(csv.DictReader(io.StringIO(out)))[0]
-    assert row["route"] == "lehn"
-    assert row["value"] == "0"
+    rows = {row["route"]: row for row in csv.DictReader(io.StringIO(out))}
+    assert list(rows) == ["engine", "lehn"]
+    assert rows["lehn"]["value"] == "0"
+
+
+def test_lehn_is_not_a_command(capsys):
+    # the Lehn value is one flag away, as the lehn row of `number --all-routes`
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lehn", "--d", "29", "--pi", "5", "--kappa", "-1", "--e", "25", "--k", "5"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    error = captured.err.splitlines()[-1]
+    assert error.startswith("hilbsegre: error: argument command: invalid choice: 'lehn'")
+    assert all(command in error for command in ("number", "series", "verify"))
 
 
 @pytest.mark.parametrize("tuple_flags", [
@@ -154,17 +171,15 @@ def test_lehn_subcommand(capsys):
     ("--d", "3", "--pi", "1", "--kappa", "-2", "--e", "12"),
 ])
 def test_lehn_prints_the_lehn_row_of_number_all_routes(capsys, tuple_flags):
-    # one command path: `lehn` is `number` with its routes fixed to the Lehn route
+    # the lehn row of `number --all-routes` is one record in every format
     number = ("number", *tuple_flags, "--k", "5", "--all-routes", "--format")
-    lehn_argv = ("lehn", *tuple_flags, "--k", "5", "--format")
     _, out = run_cli(capsys, *number, "csv")
     rows = {row["route"]: row for row in csv.DictReader(io.StringIO(out))}
-    assert list(csv.DictReader(io.StringIO(run_cli(capsys, *lehn_argv, "csv")[1]))) == [rows["lehn"]]
     records = {record["route"]: record for record in json.loads(run_cli(capsys, *number, "json")[1])}
-    assert json.loads(run_cli(capsys, *lehn_argv, "json")[1]) == [records["lehn"]]
+    assert {field: str(value) for field, value in records["lehn"].items()} == rows["lehn"]
     lines = run_cli(capsys, *number, "table")[1].splitlines()
     [lehn_line] = [line.split() for line in lines if line.split()[5] == "lehn"]
-    assert run_cli(capsys, *lehn_argv, "table")[1].splitlines()[1].split() == lehn_line
+    assert lehn_line == list(rows["lehn"].values())
     # the series command reads the same routes: its z^5 coefficients are these values
     for which, route in (("s", "engine"), ("lehn", "lehn")):
         code, out = run_cli(capsys, "series", "--which", which, *tuple_flags, "--order", "5")
@@ -181,11 +196,11 @@ def test_every_route_prints_values_past_the_int_digit_limit(capsys, exponent):
     # the 4,300 that str(int) refuses since Python 3.10.7; neither changes that limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     tuple_flags = ("--d", "1" + "0" * exponent, "--pi", "3", "--kappa", "-1", "--e", "25")
-    values = []
-    for command in ("number", "lehn"):
-        code, out = run_cli(capsys, command, *tuple_flags, "--k", "64", "--format", "csv")
-        assert code == 0
-        values.append(list(csv.DictReader(io.StringIO(out)))[0]["value"])
+    code, out = run_cli(capsys, "number", *tuple_flags, "--k", "64", "--all-routes", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [row["route"] for row in rows] == ["engine", "lehn"]
+    values = [row["value"] for row in rows]
     code, out = run_cli(capsys, "series", "--which", "s", *tuple_flags, "--order", "64", "--format", "json")
     assert code == 0
     values.append(json.loads(out)[-1]["value"])
@@ -342,7 +357,7 @@ TUPLE = ("--d", "2", "--pi", "0", "--kappa", "0", "--e", "0")
 ORDER_ARGV = [
     (("number", *TUPLE, "--k"), "--k"),
     (("series", "--which", "lehn", *TUPLE, "--order"), "--order"),
-    (("lehn", *TUPLE, "--k"), "--k"),
+    (("number", *TUPLE, "--all-routes", "--k"), "--k"),
     (("series", "--which", "A", "--order"), "--order"),
     (("verify", "--max-order"), "--max-order"),
     (("verify", "--max-k"), "--max-k"),
@@ -432,6 +447,24 @@ def test_verify_max_k_guard(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "at least 2" in captured.err
+
+
+
+def _exit_code(argv: list[str]) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_readme_commands_run(capsys):
+    # every `hilbsegre ...` line of the README's "Command line" sh block is a working command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hilbsegre ")]
+    assert len(commands) >= 5
+    codes = {" ".join(argv): _exit_code(argv) for argv in commands}
+    assert codes == dict.fromkeys(codes, 0)
 
 
 # -- serialization round-trips --------------------------------------------------------
