@@ -4,17 +4,18 @@ Subcommands, one per kind of output:
 
     number   one Segre number via the engine; --all-routes adds the
              closed (on a K3 tuple) and lehn rows
-    series   coefficients of A, B, C, D or of a full generating series
+    series   coefficients of a tuple's generating series, by the engine
+             (--which s) or by Lehn's function (--which lehn); A, B, C
+             and D are the s series at their unit tuples
     verify   the checks of `hilbsegre.checks.REGISTRY`, one PASS/FAIL line each
 
 Values are printed as exact "p/q" strings of any size, never as
 decimals.  The truncation order of `series` and `verify` is 8 unless
 their --order and --max-order flags say otherwise; `number` evaluates
 at order --k.  No order, k or max-k may exceed MAX_ORDER: argparse
-refuses one as a usage error before any work starts.  Exit codes:
-0 success, 1 verification failure, 2 usage error or an `--output`
-path that cannot be written, which is also found before any work
-starts.
+refuses one as a usage error before any work starts.  Every command
+writes to stdout.  Exit codes: 0 success, 1 verification failure,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .checks import REGISTRY
 from .k3 import closed_segre
 from .lehn import lehn_series
 from .series import TruncatedPowerSeries, format_rational
-from .universal import UNIT_TUPLES, SurfaceInvariants, segre_series, universal_series_set
+from .universal import SurfaceInvariants, segre_series, universal_series_set
 
 DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
@@ -68,18 +69,6 @@ def render_records(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    except OSError as exc:
-        print(f"cannot write {output}: {exc.strerror or exc}", file=sys.stderr)
-        raise SystemExit(2)
-
-
 def _invariants_from(args: argparse.Namespace) -> SurfaceInvariants:
     return SurfaceInvariants(args.d, args.pi, args.kappa, args.e)
 
@@ -102,23 +91,17 @@ def cmd_number(args: argparse.Namespace) -> int:
             rows.append(output_row(inv, k, route, ROUTES[route](inv, k)[k]))
         elif _closed_applicable(inv):
             rows.append(output_row(inv, k, route, closed_segre(k, inv.d // 2 + 1)))
-    _emit(render_records(rows, args.format), args.output)
+    sys.stdout.write(render_records(rows, args.format))
     return 0
 
 
 def cmd_series(args: argparse.Namespace) -> int:
-    unit = args.which in UNIT_TUPLES  # a unit tuple takes no tuple flags; the others need all
-    wrong = [f for f in ("d", "pi", "kappa", "e") if (getattr(args, f) is None) != unit]
-    if wrong:
-        flags = ", ".join("--" + f for f in wrong)
-        print(f"--which {args.which} {'takes no' if unit else 'requires'} {flags}", file=sys.stderr)
-        return 2
-    inv = UNIT_TUPLES[args.which] if unit else _invariants_from(args)
+    inv = _invariants_from(args)
     route = "lehn" if args.which == "lehn" else "engine"
     series = ROUTES[route](inv, args.order)
     rows = [output_row(inv, k, route, c) for k, c in enumerate(series)]
     table = "".join(row["value"] + "\n" for row in rows)  # the values alone, one per line
-    _emit(table if args.format == "table" else render_records(rows, args.format), args.output)
+    sys.stdout.write(table if args.format == "table" else render_records(rows, args.format))
     return 0
 
 
@@ -135,7 +118,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     passed = sum(outcome.ok for outcome in outcomes)
     lines = [outcome.line() for outcome in outcomes]
     lines.append(f"verify: {passed}/{len(outcomes)} checks passed")
-    _emit("".join(line + "\n" for line in lines), args.output)
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return 0 if passed == len(outcomes) else 1
 
 
@@ -159,12 +142,11 @@ def _add_format_flags(parser: argparse.ArgumentParser) -> None:
         "--format", choices=("table", "csv", "json"), default="table",
         help="output format (default: table)",
     )
-    parser.add_argument("--output", metavar="PATH", help="write output to a file")
 
 
-def _add_tuple_flags(parser: argparse.ArgumentParser, required: bool) -> None:
+def _add_tuple_flags(parser: argparse.ArgumentParser) -> None:
     for flag in ("d", "pi", "kappa", "e"):
-        parser.add_argument(f"--{flag}", type=int, required=required, default=None)
+        parser.add_argument(f"--{flag}", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_number = sub.add_parser("number", help="one Segre number for a tuple")
-    _add_tuple_flags(p_number, required=True)
+    _add_tuple_flags(p_number)
     p_number.add_argument("--k", type=_order, required=True)
     p_number.add_argument("--all-routes", dest="routes", action="store_const",
                           const=("closed", *ROUTES),
@@ -183,10 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_flags(p_number)
     p_number.set_defaults(func=cmd_number, routes=("engine",))
 
-    p_series = sub.add_parser("series", help="coefficients of a determined or generating series")
-    p_series.add_argument("--which", choices=("A", "B", "C", "D", "s", "lehn"), required=True)
+    p_series = sub.add_parser("series", help="coefficients of a tuple's generating series")
+    p_series.add_argument("--which", choices=("s", "lehn"), required=True,
+                          help="the route: s for the engine, lehn for Lehn's function")
+    _add_tuple_flags(p_series)
     p_series.add_argument("--order", type=_order, default=DEFAULT_ORDER)
-    _add_tuple_flags(p_series, required=False)
     _add_format_flags(p_series)
     p_series.set_defaults(func=cmd_series)
 
@@ -195,15 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-order", type=_order, default=DEFAULT_ORDER)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="testing aid: corrupt one engine coefficient, the suite must FAIL")
-    p_verify.add_argument("--output", metavar="PATH", help="write the report to a file")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "output", None) is not None:
-        _emit("", args.output)  # open it now, as a shell redirection would: fail before any work
+    args = build_parser().parse_args(argv)
     return args.func(args)

@@ -35,7 +35,7 @@ identity for every g.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .series import TruncatedPowerSeries
 from .universal import SurfaceInvariants, segre_series, universal_series_set
@@ -44,23 +44,8 @@ __all__ = [
     "closed_segre",
     "determine_b_prime",
     "determine_b_s1",
-    "generalized_binomial",
     "recursion_segre",
 ]
-
-
-def generalized_binomial(n: int, k: int) -> Fraction:
-    """Falling-factorial binomial n(n-1)...(n-k+1)/k!, any integer n.
-
-    Always 1 for k = 0, and 0 exactly when 0 <= n < k.  For integer n
-    the falling factorial is divisible by k!, so the quotient is exact.
-    """
-    if k < 0:
-        raise ValueError("binomial lower index must be non-negative")
-    num = 1
-    for j in range(k):
-        num *= n - j
-    return Fraction(num // factorial(k))
 
 
 def closed_segre(k: int, g: int) -> Fraction:

@@ -23,6 +23,10 @@ kernel clears denominators and runs over integers:
   numerators of j log_j, calls the integer exp kernel and solves each
   step by exact integer division.
 
+`generalized_binomial` is the falling factorial n (n-1) ... (n-k+1)
+over k!, the reference for `closed_segre`, which takes `math.comb` and
+reflects a negative upper index.
+
 `reverted_substitution` expands Lehn's change of variable z(w) from its
 closed form with powers and products, and w(z) by Lagrange reversion,
 where `lehn` solves the cubic in y = w - w^2 by undetermined integer
@@ -33,8 +37,23 @@ in w itself, for z(w) = w P / Q by long division.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from hilbsegre import TruncatedPowerSeries
+
+
+def generalized_binomial(n: int, k: int) -> Fraction:
+    """Falling-factorial binomial n(n-1)...(n-k+1)/k!, any integer n.
+
+    Always 1 for k = 0, and 0 exactly when 0 <= n < k.  For integer n
+    the falling factorial is divisible by k!, so the quotient is exact.
+    """
+    if k < 0:
+        raise ValueError("binomial lower index must be non-negative")
+    num = 1
+    for j in range(k):
+        num *= n - j
+    return Fraction(num // factorial(k))
 
 
 def fraction_mul(f: TruncatedPowerSeries, g: TruncatedPowerSeries) -> TruncatedPowerSeries:

@@ -17,12 +17,13 @@ from hilbsegre import (
     closed_segre,
     determine_b_s1,
     extract_lehn_universal,
-    generalized_binomial,
     lehn_series,
     segre_number,
     segre_series,
     universal_series_set,
 )
+
+from tests._oracles import generalized_binomial
 
 
 class _Timer:

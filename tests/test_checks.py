@@ -33,17 +33,36 @@ def _single_failure(check, U, order, max_k):
     return outcome.counterexample
 
 
-def test_kernel_roundtrips_catches_a_perturbed_reversion(monkeypatch):
-    revert = TruncatedPowerSeries.revert
+def _top_bumped(method, when=lambda *args: True):
+    """`method` with its top coefficient plus one whenever `when(*args)` holds."""
 
-    def perturbed(self):
-        coefficients = list(revert(self).coefficients)
-        coefficients[-1] += 1
+    def perturbed(self, *args):
+        coefficients = list(method(self, *args).coefficients)
+        coefficients[-1] += when(*args)
         return TruncatedPowerSeries(coefficients)
 
-    monkeypatch.setattr(TruncatedPowerSeries, "revert", perturbed)
+    return perturbed
+
+
+def test_kernel_roundtrips_catches_a_perturbed_reversion(monkeypatch):
+    monkeypatch.setattr(TruncatedPowerSeries, "revert", _top_bumped(TruncatedPowerSeries.revert))
     counterexample = _single_failure(checks.kernel_roundtrips, None, 4, 2)
     assert counterexample == "reversion roundtrip failed for series #0"
+
+
+@pytest.mark.parametrize(
+    "name,when,expected",
+    [
+        ("pow", lambda exponent: exponent == Fraction(1, 2),
+         "pow additivity failed for series #0 at (1/2,1/2)"),
+        ("log", lambda: True, "exp(log f) != f for random unit series #0"),
+    ],
+    ids=["pow-at-one-half", "log"],
+)
+def test_kernel_roundtrips_catches_a_perturbed_kernel(monkeypatch, name, when, expected):
+    method = getattr(TruncatedPowerSeries, name)
+    monkeypatch.setattr(TruncatedPowerSeries, name, _top_bumped(method, when))
+    assert _single_failure(checks.kernel_roundtrips, None, 4, 2) == expected
 
 
 def test_closed_vs_recursion_catches_a_wrong_closed_value(monkeypatch):

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hilbsegre
 from hilbsegre import SurfaceInvariants, parse_rational, segre_number, universal_series_set
 from hilbsegre import cli
 from hilbsegre.cli import MAX_ORDER, main, output_row, render_records
@@ -79,14 +81,20 @@ def test_number_k_beyond_default_order_still_works(capsys):
 # -- series --------------------------------------------------------------------
 
 
+# A, B, C and D are the s series at the unit tuples (1,0,0,0), (0,0,0,1), (0,1,0,0), (0,0,1,0)
+A_TUPLE = ("--d", "1", "--pi", "0", "--kappa", "0", "--e", "0")
+
+
 def test_series_A_prefix(capsys):
-    code, out = run_cli(capsys, "series", "--which", "A", "--order", "2")
+    code, out = run_cli(capsys, "series", "--which", "s", *A_TUPLE, "--order", "2")
     assert code == 0
     assert out.splitlines() == ["1", "1", "-9/2"]
 
 
 def test_series_C_prefix(capsys):
-    code, out = run_cli(capsys, "series", "--which", "C", "--order", "1")
+    code, out = run_cli(
+        capsys, "series", "--which", "s", "--d", "0", "--pi", "1", "--kappa", "0", "--e", "0", "--order", "1",
+    )
     assert code == 0
     assert out.splitlines() == ["1", "0"]
 
@@ -107,19 +115,15 @@ def test_series_lehn_equals_engine(capsys):
     assert out_s == out_l
 
 
-def test_series_unit_tuple_refuses_tuple_flags(capsys):
-    code = main(["series", "--which", "A", "--d", "3", "--pi", "9"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "--which A takes no --d, --pi\n"
-
-
 def test_series_missing_tuple_flags(capsys):
-    code = main(["series", "--which", "s", "--order", "3"])
+    with pytest.raises(SystemExit) as excinfo:
+        main(["series", "--which", "s", "--order", "3"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "--d" in captured.err
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "hilbsegre series: error: the following arguments are required: --d, --pi, --kappa, --e"
+    )
 
 
 def test_series_unknown_name_is_usage_error(capsys):
@@ -130,7 +134,8 @@ def test_series_unknown_name_is_usage_error(capsys):
 
 def test_series_json_schema(capsys):
     code, out = run_cli(
-        capsys, "series", "--which", "B", "--order", "3", "--format", "json",
+        capsys, "series", "--which", "s", "--d", "0", "--pi", "0", "--kappa", "0", "--e", "1",
+        "--order", "3", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -315,31 +320,28 @@ def test_verify_injected_fault_fails(capsys):
     assert out == SMALL_FAULT_REPORT
 
 
-def test_verify_output_file(tmp_path, capsys):
-    path = tmp_path / "report.txt"
-    code, out = run_cli(capsys, "verify", "--max-k", "2", "--max-order", "3", "--output", str(path))
-    assert code == 0
-    assert out == ""
-    assert "checks passed" in path.read_text()
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "argv,error",
     [
-        ("verify", "--max-k", "2", "--max-order", "2"),
-        ("number", "--d", "2", "--pi", "0", "--kappa", "0", "--e", "0", "--k", "2"),
+        (("verify", "--max-k", "2", "--output", "report.txt"),
+         "hilbsegre: error: unrecognized arguments: --output report.txt"),
+        (("series", "--which", "A", "--order", "2"),
+         "hilbsegre series: error: argument --which: invalid choice: 'A' (choose from 's', 'lehn')"),
     ],
+    ids=["output", "which-A"],
 )
-def test_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # the path is refused before any work: the series set is never built
+def test_removed_options_are_usage_errors(tmp_path, capsys, monkeypatch, argv, error):
+    # output goes to stdout only, and --which names a route, not a series: argparse
+    # refuses both before any work, and no file is written
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "universal_series_set", _no_work)
-    path = tmp_path / "missing" / "report.txt"
     with pytest.raises(SystemExit) as excinfo:
-        main([*argv, "--output", str(path)])
+        main(list(argv))
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
     assert captured.out == ""
-    assert captured.err == f"cannot write {path}: No such file or directory\n"
+    assert captured.err.splitlines()[-1] == error
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- plumbing -----------------------------------------------------------------------
@@ -358,7 +360,7 @@ ORDER_ARGV = [
     (("number", *TUPLE, "--k"), "--k"),
     (("series", "--which", "lehn", *TUPLE, "--order"), "--order"),
     (("number", *TUPLE, "--all-routes", "--k"), "--k"),
-    (("series", "--which", "A", "--order"), "--order"),
+    (("series", "--which", "s", *TUPLE, "--order"), "--order"),
     (("verify", "--max-order"), "--max-order"),
     (("verify", "--max-k"), "--max-k"),
 ]
@@ -402,7 +404,7 @@ def test_number_evaluates_at_k_whatever_the_default_order(capsys, monkeypatch):
     monkeypatch.delenv("SEGRE_DEFAULT_ORDER", raising=False)
     inputs = [
         ("number", *TUPLE, "--k", "5", "--format", "csv"),
-        ("series", "--which", "A"),
+        ("series", "--which", "s", *A_TUPLE),
         ("verify", "--max-k", "2", "--max-order", "3"),
     ]
     expected = [run_cli(capsys, *argv) for argv in inputs]
@@ -433,10 +435,13 @@ def test_usage_error_on_negative_k():
 
 
 def test_module_entry_point():
+    # the child imports the package this process imported, whatever PYTHONPATH holds
+    path = [str(Path(hilbsegre.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     result = subprocess.run(
         [sys.executable, "-m", "hilbsegre", "number", "--d", "2", "--pi", "0",
          "--kappa", "0", "--e", "0", "--k", "2", "--format", "csv"],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert result.returncode == 0
     assert list(csv.DictReader(io.StringIO(result.stdout)))[0]["value"] == "-8"

@@ -21,18 +21,17 @@ from hilbsegre import (
     closed_segre,
     determine_b_prime,
     determine_b_s1,
-    generalized_binomial,
     k3,
     recursion_segre,
 )
 
-from tests._oracles import b_s1_by_table_induction, finite_differences
+from tests._oracles import b_s1_by_table_induction, finite_differences, generalized_binomial
 
 B_PREFIX = (F(1), F(2), F(-8), F(56), F(-480))
 S1_PREFIX = (F(1), F(0), F(12), F(-160), F(2016))
 
 
-# -- generalized binomial ------------------------------------------------------
+# -- the reference binomial, the falling factorial over k! ----------------------
 
 
 def test_binomial_k_zero_is_one():

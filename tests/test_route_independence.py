@@ -21,7 +21,7 @@ SRC = Path(hilbsegre.__file__).parent
 LEHN_MAY_IMPORT = {"UNIT_TUPLES", "SurfaceInvariants", "UniversalSeriesSet", "blowup_targets"}
 
 #: The functions of `k3` that make up the closed-formula route.
-CLOSED_ROUTE = ("closed_segre", "generalized_binomial")
+CLOSED_ROUTE = ("closed_segre",)
 
 
 def _is_universal(dotted: str | None) -> bool:
