@@ -5,11 +5,13 @@ above z^N is unknown (not zero).  Binary operations between series of
 different orders truncate to the smaller order, the precision actually
 supported by both operands.  Equality is exact, order included;
 `truncate` compares prefixes.  Coefficients are `fractions.Fraction` at
-the interface, so every operation is exact and every coefficient stays
-in canonical reduced form; floats are rejected on input.  Inside the
-kernels the coefficients are cleared of denominators once, the
-recurrence runs over Python integers, and each output coefficient is
-reduced once (Knuth, TAOCP vol. 2, 4.7).
+the interface, in canonical reduced form; floats are rejected on input.
+Inside, a series holds numerators over one denominator D > 0 with
+gcd(D, *nums) == 1, so equal series hold equal integers, and every
+operation, `==` included, reads and writes those integers alone (Knuth,
+TAOCP vol. 2, 4.7).  A series built from `Fraction`s derives its
+integers when an operation first needs them; a result is born as
+integers and builds its `Fraction`s when a caller first reads them.
 
 Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
@@ -20,12 +22,12 @@ inverse power of the divisor; composition is Horner's rule on integer
 numerators.  The two cold builds, the engine's vanishing solve and the
 Lehn substitution, keep their logs as the integers j log_j and run the
 kernels `_log_numerators` and `_exp_numerators` (step `_exp_step`)
-directly; `_exp_fractions`, the one way from exp numerators to
-`Fraction`s, serves them and `exp`.  Up to order K the exp kernel
-scales E_n by exactly K! den^n for the den it is given: one integer dot
-product and one exact division per coefficient.  `exp` passes the
-denominator of j f_j, which for the log of a generic rational series
-grows like lcm(1..N); `pow` passes q D.
+directly; `_exp_series`, the one way from exp numerators to a series,
+serves them (through `_exp_fractions`) and `exp`.  Up to order K the exp
+kernel scales E_n by exactly K! den^n for the den it is given: one
+integer dot product and one exact division per coefficient.  `exp`
+passes the denominator of j f_j, which for the log of a generic rational
+series grows like lcm(1..N); `pow` passes q D.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ class TruncatedPowerSeries:
     1 - z^2 + O(z^5)
     """
 
-    __slots__ = ("_coefficients",)
+    __slots__ = ("_fractions", "_integers")
 
     def __init__(self, coefficients: Iterable[Scalar], order: int | None = None):
         coeffs = [as_rational(c) for c in coefficients]
@@ -109,7 +111,17 @@ class TruncatedPowerSeries:
                 coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "_coefficients", tuple(coeffs))
+        object.__setattr__(self, "_fractions", tuple(coeffs))
+        object.__setattr__(self, "_integers", None)
+
+    @classmethod
+    def _canonical(cls, nums: list[int], den: int) -> "TruncatedPowerSeries":
+        """The series c_i = nums[i] / den (den != 0), stored reduced by gcd(den, *nums), den > 0."""
+        common = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        series = object.__new__(cls)
+        object.__setattr__(series, "_fractions", None)
+        object.__setattr__(series, "_integers", ([x // common for x in nums], den // common))
+        return series
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPowerSeries is immutable")
@@ -138,20 +150,30 @@ class TruncatedPowerSeries:
     # -- basic access --------------------------------------------------
 
     @property
+    def _ints(self) -> tuple[list[int], int]:
+        """(nums, den) with c_i = nums[i] / den, den > 0 and gcd(den, *nums) == 1."""
+        if self._integers is None:
+            object.__setattr__(self, "_integers", _scaled(self._fractions))
+        return self._integers
+
+    @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coefficients
+        if self._fractions is None:
+            nums, den = self._integers
+            object.__setattr__(self, "_fractions", tuple(Fraction(x, den) for x in nums))
+        return self._fractions
 
     @property
     def order(self) -> int:
-        return len(self._coefficients) - 1
+        return len(self._integers[0] if self._fractions is None else self._fractions) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
             raise IndexError(f"coefficient index {k} outside order {self.order}")
-        return self._coefficients[k]
+        return self.coefficients[k]
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coefficients)
+        return iter(self.coefficients)
 
     def truncate(self, order: int) -> "TruncatedPowerSeries":
         """Drop coefficients above `order`; extending is not allowed."""
@@ -161,22 +183,23 @@ class TruncatedPowerSeries:
             raise ValueError("cannot truncate to a larger order")
         if order == self.order:
             return self
-        return TruncatedPowerSeries(self._coefficients[: order + 1])
+        nums, den = self._ints
+        return TruncatedPowerSeries._canonical(nums[: order + 1], den)
 
     # -- equality and display -------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedPowerSeries):
             return NotImplemented
-        return self._coefficients == other._coefficients
+        return self._ints == other._ints
 
     def __repr__(self) -> str:
-        body = ", ".join(map(format_rational, self._coefficients))
+        body = ", ".join(map(format_rational, self.coefficients))
         return f"TruncatedPowerSeries([{body}])"
 
     def __str__(self) -> str:
         terms = []
-        for k, c in enumerate(self._coefficients):
+        for k, c in enumerate(self.coefficients):
             if c == 0:
                 continue
             if k == 0:
@@ -195,17 +218,14 @@ class TruncatedPowerSeries:
     # -- ring operations -------------------------------------------------
 
     def __neg__(self) -> "TruncatedPowerSeries":
-        return TruncatedPowerSeries([-c for c in self._coefficients])
+        return self * -1
 
     def __add__(self, other) -> "TruncatedPowerSeries":
-        if isinstance(other, TruncatedPowerSeries):
-            return TruncatedPowerSeries(
-                [a + b for a, b in zip(self._coefficients, other._coefficients)]
-            )
-        value = as_rational(other)
-        coeffs = list(self._coefficients)
-        coeffs[0] += value
-        return TruncatedPowerSeries(coeffs)
+        if not isinstance(other, TruncatedPowerSeries):
+            other = TruncatedPowerSeries.constant(other, self.order)
+        (f, f_den), (g, g_den) = self._ints, other._ints
+        a, b = (lcm(f_den, g_den) // den for den in (f_den, g_den))
+        return TruncatedPowerSeries._canonical([x * a + y * b for x, y in zip(f, g)], f_den * a)
 
     def __radd__(self, other) -> "TruncatedPowerSeries":
         return self.__add__(other)
@@ -217,14 +237,12 @@ class TruncatedPowerSeries:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "TruncatedPowerSeries":
+        f, f_den = self._ints
         if isinstance(other, TruncatedPowerSeries):
-            n = min(self.order, other.order)
-            f, f_den = _scaled(self._coefficients[: n + 1])
-            g, g_den = _scaled(other._coefficients[: n + 1])
-            den = f_den * g_den
-            return TruncatedPowerSeries([Fraction(c, den) for c in _convolve(f, g, n)])
-        value = as_rational(other)
-        return TruncatedPowerSeries([c * value for c in self._coefficients])
+            g, g_den = other._ints
+            return TruncatedPowerSeries._canonical(_convolve(f, g, min(len(f), len(g)) - 1), f_den * g_den)
+        q = as_rational(other)
+        return TruncatedPowerSeries._canonical([x * q.numerator for x in f], f_den * q.denominator)
 
     def __rmul__(self, other) -> "TruncatedPowerSeries":
         return self.__mul__(other)
@@ -232,13 +250,12 @@ class TruncatedPowerSeries:
     def __truediv__(self, other) -> "TruncatedPowerSeries":
         """f / g = f (g / g0)^(-1) / g0: one integer `pow` and one product."""
         if isinstance(other, TruncatedPowerSeries):
-            g0 = other._coefficients[0]
-            if g0 == 0:
+            g, g_den = other._ints
+            if g[0] == 0:
                 raise ValueError("non-unit divisor")
-            unit = other.truncate(min(self.order, other.order)) / g0
-            return self * unit.pow(-1) / g0
-        value = as_rational(other)
-        return TruncatedPowerSeries([c / value for c in self._coefficients])
+            unit = TruncatedPowerSeries._canonical(g[: min(self.order, other.order) + 1], g[0])
+            return self * unit.pow(-1) * Fraction(g_den, g[0])
+        return self * (1 / as_rational(other))
 
     def __rtruediv__(self, other) -> "TruncatedPowerSeries":
         return TruncatedPowerSeries.constant(as_rational(other), self.order) / self
@@ -247,10 +264,10 @@ class TruncatedPowerSeries:
 
     def exp(self) -> "TruncatedPowerSeries":
         """Exponential of a series with zero constant term, by `_exp_numerators`."""
-        if self._coefficients[0] != 0:
+        f, den = self._ints
+        if f[0] != 0:
             raise ValueError("exp of series with nonzero constant term")
-        f, den = _scaled(self._coefficients)
-        return TruncatedPowerSeries(_exp_fractions([j * x for j, x in enumerate(f)], den))
+        return _exp_series([j * x for j, x in enumerate(f)], den)
 
     def log(self) -> "TruncatedPowerSeries":
         """Logarithm of a series with constant term exactly 1.
@@ -261,11 +278,11 @@ class TruncatedPowerSeries:
         >>> f.log().exp() == f
         True
         """
-        if self._coefficients[0] != 1:
+        f, den = self._ints
+        if f[0] != den:
             raise ValueError("log of non-unit series")
-        f, den = _scaled(self._coefficients)
         m = _log_numerators(f, den)  # n L_n = m_n / den^n
-        return TruncatedPowerSeries(Fraction(x, (n or 1) * den**n) for n, x in enumerate(m))
+        return _reduced((x, (n or 1) * den**n) for n, x in enumerate(m))
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
         """Raise to a rational power alpha = p/q as exp(alpha log f), on integers.
@@ -274,28 +291,26 @@ class TruncatedPowerSeries:
         v and the leading coefficient f_v are shifted out first, so
         f^n = z^(n v) f_v^n u^n with u = z^(-v) f / f_v a unit.  Other
         exponents require the constant term to be exactly 1, and u = f.
-        With u = F / F_0 over one denominator, `_log_numerators` gives
+        With u = F / F_0 for integers F, `_log_numerators` gives
         n L_n = m_n / F_0^n, and the exp kernel, handed the graded
         weights p q^(j-1) m_j, gives u^alpha as E_n = h_n / (K! (q F_0)^n):
-        no `Fraction` log, and one `Fraction` per output coefficient.
+        no `Fraction` log, and no `Fraction` at all.
         """
         alpha = as_rational(exponent)
         p, q = alpha.numerator, alpha.denominator
-        f, lead, shift = self._coefficients, Fraction(1), 0
+        (F, den), lead, shift = self._ints, (1, 1), 0
         if q == 1 and p >= 0:
             if p == 0:
                 return TruncatedPowerSeries.one(self.order)
-            v = next((i for i, c in enumerate(f) if c), None)
+            v = next((i for i, c in enumerate(F) if c), None)
             if v is None or p * v > self.order:
                 return TruncatedPowerSeries.zero(self.order)
-            f, lead, shift = f[v : v + self.order - p * v + 1], f[v] ** p, p * v
-        elif f[0] != 1:
+            F, lead, shift = F[v : v + self.order - p * v + 1], (F[v] ** p, den**p), p * v
+        elif F[0] != den:
             raise ValueError("rational power of non-unit series")
-        F, _ = _scaled(f)
         h = _exp_numerators([p * x for x in _log_numerators(F, F[0])], q)
-        den, scale = q * F[0], lead.denominator * h[0]  # u^alpha has E_n = h_n / (K! den^n)
-        power = [Fraction(lead.numerator * x, scale * den**n) for n, x in enumerate(h)]
-        return TruncatedPowerSeries([Fraction(0)] * shift + power)
+        scale, den = lead[1] * h[0], q * F[0]  # u^alpha has E_n = h_n / (K! den^n)
+        return _reduced([(0, 1)] * shift + [(lead[0] * x, scale * den**n) for n, x in enumerate(h)])
 
     def __pow__(self, exponent: Scalar) -> "TruncatedPowerSeries":
         return self.pow(exponent)
@@ -308,19 +323,19 @@ class TruncatedPowerSeries:
         Horner's rule on integers: each step reduces the running acc / den
         by gcd(den, *acc), which keeps den the lcm of the reduced denominators.
         """
-        if inner._coefficients[0] != 0:
+        g, g_den = inner._ints
+        if g[0] != 0:
             raise ValueError("composition requires zero constant term")
         n = min(self.order, inner.order)
-        g, g_den = _scaled(inner._coefficients[: n + 1])
-        c = self._coefficients
-        acc, den = [c[n].numerator] + [0] * n, c[n].denominator
+        c, c_den = self._ints
+        acc, den = [c[n]] + [0] * n, c_den
         for k in range(n - 1, -1, -1):  # acc / den <- acc g / (den g_den) + c_k
-            step = lcm(den * g_den, c[k].denominator)
+            step = lcm(den * g_den, c_den)
             acc = [x * (step // (den * g_den)) for x in _convolve(acc, g, n)]
-            acc[0] += c[k].numerator * (step // c[k].denominator)
+            acc[0] += c[k] * (step // c_den)
             common = gcd(step, *acc)
             acc, den = [x // common for x in acc], step // common
-        return TruncatedPowerSeries([Fraction(x, den) for x in acc])
+        return TruncatedPowerSeries._canonical(acc, den)
 
     def revert(self) -> "TruncatedPowerSeries":
         """Compositional inverse g with f(g(z)) = z, for f0 = 0, f1 != 0.
@@ -335,24 +350,35 @@ class TruncatedPowerSeries:
         >>> print(f.revert())
         z - z^2 + z^3 - z^4 + z^5 + O(z^6)
         """
-        if self.order < 1 or self._coefficients[0] != 0 or self._coefficients[1] == 0:
+        f, den = self._ints
+        if self.order < 1 or f[0] != 0 or f[1] == 0:
             raise ValueError("series not invertible under composition")
-        phi = 1 / TruncatedPowerSeries(self._coefficients[1:])
-        p, den = _scaled(phi.coefficients)
-        power, scale = p, den  # phi^m = power / scale
-        g = [Fraction(0)]
+        p, phi_den = (1 / TruncatedPowerSeries._canonical(f[1:], den))._ints
+        power, scale = p, phi_den  # phi^m = power / scale
+        g = [(0, 1)]
         for m in range(1, self.order + 1):
-            g.append(Fraction(power[m - 1], m * scale))
+            g.append((power[m - 1], m * scale))
             if m < self.order:
-                power = _convolve(power, p, phi.order)
-                scale *= den
-        return TruncatedPowerSeries(g)
+                power = _convolve(power, p, len(p) - 1)
+                scale *= phi_den
+        return _reduced(g)
 
 
 def _scaled(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator D: c_i = nums[i] / D."""
+    """Integer numerators over the lcm D of the reduced denominators: c_i = nums[i] / D."""
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _reduced(pairs) -> TruncatedPowerSeries:
+    """The series of the x / d for (x, d) in pairs, each reduced by its own gcd, then over their lcm.
+
+    `log`, `pow` and `revert` give x_n / (s D^n) with D the input's own denominator,
+    which on an `exp` output grows like n! 6^n.  Over s D^K, the reducing gcd would
+    run on K bits(D)-bit integers: `log` of an `exp` output at order 128 got slower."""
+    pairs = [(x // c, d // c) for x, d in pairs for c in (gcd(x, d),)]
+    den = lcm(*(d for _, d in pairs))
+    return TruncatedPowerSeries._canonical([x * (den // d) for x, d in pairs], den)
 
 
 def _convolve(f: list[int], g: list[int], n: int) -> list[int]:
@@ -388,7 +414,7 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
     probe and twin series.  The division by n is exact because
     h_n = (K!/n!) e_n for e_n = den^n n! E_n, and
     e_n = sum_j C(n-1, j-1) (j-1)! c_j e_(n-j) is an integer by induction.  The scale is exactly K! den^n, whatever g;
-    `_exp_fractions` divides den and g by their gcd first, to keep h_n short.
+    `_exp_series` divides den and g by their gcd first, to keep h_n short.
     A graded log j f_j = g[j] / (den D^j), as in `pow`, has E_n = h[n] / (K! (den D)^n).
     """
     c, h = [], [factorial(len(g) - 1)]  # c_1 .. c_n, and h_0 .. h_n
@@ -400,12 +426,18 @@ def _exp_numerators(g: list[int], den: int) -> list[int]:
     return h
 
 
-def _exp_fractions(g: list[int], den: int) -> tuple[Fraction, ...]:
-    """exp(f) as `Fraction`s, for f0 = 0 and j f_j = g[j] / den, by `_exp_numerators`."""
+def _exp_series(g: list[int], den: int) -> TruncatedPowerSeries:
+    """exp(f) for f0 = 0 and j f_j = g[j] / den, by `_exp_numerators`."""
     common = gcd(den, *g)  # a log's j f_j has a far smaller denominator than its f_j
     den //= common
     h = _exp_numerators([x // common for x in g], den)  # E_n = h_n / (K! den^n), K! = h_0
-    return tuple(Fraction(x, h[0] * den**n) for n, x in enumerate(h))
+    K = len(h) - 1  # over h_0 den^K, unlike `_reduced`: this den is 1 or small in per-tuple evaluation
+    return TruncatedPowerSeries._canonical([x * den ** (K - n) for n, x in enumerate(h)], h[0] * den**K)
+
+
+def _exp_fractions(g: list[int], den: int) -> tuple[Fraction, ...]:
+    """exp(f) as `Fraction`s, for f0 = 0 and j f_j = g[j] / den: the coefficients of `_exp_series`."""
+    return _exp_series(g, den).coefficients
 
 
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:

@@ -64,14 +64,29 @@ def test_floats_rejected():
         TPS([1.5, 2])
     with pytest.raises(TypeError):
         as_rational(0.5)
+    f = TPS([1, 2, 3])
+    for operation in (f.__add__, f.__rsub__, f.__mul__, f.__truediv__, f.__rtruediv__, f.pow):
+        with pytest.raises(TypeError, match="exact rational required"):
+            operation(0.5)
+
+
+def test_division_by_a_zero_scalar():
+    for f in (TPS([1, 2, 3]), TPS([1, 2, 3]) * 1):
+        with pytest.raises(ZeroDivisionError):
+            f / 0
+        with pytest.raises(ZeroDivisionError):
+            f / F(0)
 
 
 def test_immutable():
-    f = TPS([1, 2, 3])
-    with pytest.raises(AttributeError):
-        f.order = 5
-    with pytest.raises(TypeError):
-        f.coefficients[0] = F(2)
+    for f in (TPS([1, 2, 3]), TPS([1, 2, 3]) * 1):  # built from Fractions, and by a kernel
+        with pytest.raises(AttributeError):
+            f.order = 5
+        with pytest.raises(AttributeError):
+            f._integers = ([7, 8, 9], 1)
+        with pytest.raises(TypeError):
+            f.coefficients[0] = F(2)
+        assert f.coefficients == (F(1), F(2), F(3))
 
 
 def test_equality_is_exact_and_truncate_compares_prefixes():
@@ -629,6 +644,104 @@ def test_prop_revert_matches_undetermined_reference(linear, tail):
     assert f.revert().coefficients == undetermined_revert(f).coefficients
 
 
+# -- the integer form: canonical numerators, Fractions built when read ----------
+
+
+def _born(f, from_kernel):
+    """f as built from Fractions, or an equal series born as a kernel's integers."""
+    return f * 1 if from_kernel else f
+
+
+def _assert_canonical_and_equal(result, reference):
+    nums, den = result._ints
+    assert den > 0 and math.gcd(den, *nums) == 1, (nums, den)
+    assert result.coefficients == tuple(reference)
+    assert all(type(c) is F for c in result.coefficients)
+
+
+@settings(max_examples=80)
+@given(_tail((0, 7)), _tail((0, 7)), small_fractions, small_fractions.filter(bool), exponents,
+       st.booleans(), st.booleans())
+def test_prop_every_operation_returns_canonical_integers(f_tail, g_tail, f0, g0, alpha, f_kernel, g_kernel):
+    # operands born both ways; the stored integers are (nums, den) with
+    # den > 0 and gcd(den, *nums) == 1, whatever form the operands had
+    f, g = _born(TPS([f0] + f_tail), f_kernel), _born(TPS([g0] + g_tail), g_kernel)
+    unit, nilpotent = _born(TPS([1] + g_tail), f_kernel), _born(TPS([0] + f_tail), g_kernel)
+    n = min(f.order, g.order)
+    cases = [
+        (f + g, [a + b for a, b in zip(f, g)]),
+        (f - g, [a - b for a, b in zip(f, g)]),
+        (-f, [-a for a in f]),
+        (f + g0, [f[0] + g0, *f.coefficients[1:]]),
+        (g0 - f, [g0 - f[0], *(-a for a in f.coefficients[1:])]),
+        (f * g0, [a * g0 for a in f]),
+        (f / g0, [a / g0 for a in f]),
+        (f * g, fraction_mul(f, g).coefficients),
+        (f / g, fraction_div(f, g).coefficients),
+        (g0 / g, fraction_div(TPS.constant(g0, g.order), g).coefficients),
+        (unit.pow(alpha), fraction_pow(unit, alpha).coefficients),
+        (f.pow(3), fraction_pow(f, 3).coefficients),
+        (nilpotent.exp(), fraction_exp(nilpotent).coefficients),
+        (unit.log(), fraction_log(unit).coefficients),
+        (f.compose(nilpotent), fraction_compose(f, nilpotent).coefficients),
+        (f.truncate(n), f.coefficients[: n + 1]),
+    ]
+    if nilpotent.order >= 1 and nilpotent[1] != 0:
+        cases.append((nilpotent.revert(), undetermined_revert(nilpotent).coefficients))
+    for result, reference in cases:
+        _assert_canonical_and_equal(result, reference)
+
+
+@given(any_series, any_series, st.booleans(), st.booleans(), st.integers(0, 9))
+def test_prop_equality_agrees_with_fraction_tuples(f, g, f_kernel, g_kernel, k):
+    # equal values give equal integers, so == is the Fraction-tuple
+    # comparison, order included, whatever form each side was born in
+    a, b = _born(f, f_kernel), _born(g, g_kernel)
+    k = min(k, a.order, b.order)
+    pairs = [(a, b), (a, f), (b, g), (a, a + b - b), (a.truncate(k), f.truncate(k))]
+    pairs += [(a.truncate(k), b.truncate(k)), (a, a.truncate(k)), (b.truncate(k), b * 1)]
+    for x, y in pairs:
+        assert (x == y) == (x.coefficients == y.coefficients)
+        assert (x != y) == (x.coefficients != y.coefficients)
+
+
+def test_integer_born_series_read_like_fraction_born_ones():
+    f = series(F(-3, 4), 0, 7, F(5, 6))
+    born = f * 1
+    assert born == f and born._fractions is None  # no Fraction built yet
+    assert born[0] == F(-3, 4) and born[3] == F(5, 6)
+    assert (str(born), repr(born), list(born)) == (str(f), repr(f), list(f))
+    assert born.coefficients is born.coefficients  # built once, then cached
+    assert born.order == f.order == 3
+    with pytest.raises(IndexError):
+        born[4]
+
+
+def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
+    # unit^a * unit^b == unit^(a+b) runs on the integers alone: the number of
+    # Fractions built (spied on through the module's name) does not grow with the order
+    built = []
+
+    class Spy(type):
+        def __instancecheck__(cls, value):
+            return isinstance(value, F)
+
+        def __call__(cls, *args):
+            built.append(args)
+            return F(*args)
+
+    monkeypatch.setattr(hilbsegre.series, "Fraction", Spy("Fraction", (), {}))
+    counts = []
+    for order in (8, 32):
+        rng = random.Random(order)
+        unit = TPS([F(1)] + [F(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(order)])
+        built.clear()
+        for alpha, beta in ((F(1, 2), F(1, 2)), (F(5, 2), F(-3, 2)), (F(-1), F(2))):
+            assert unit.pow(alpha) * unit.pow(beta) == unit.pow(alpha + beta)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
 # -- the integer kernels stay private to the series module -----------------
 
 
@@ -640,6 +753,8 @@ INTEGER_KERNELS = {
     "_exp_step": {"universal.py"},
     "_log_numerators": {"lehn.py"},
     "_exp_fractions": {"universal.py", "lehn.py"},
+    "_exp_series": set(),
+    "_reduced": set(),
 }
 
 
