@@ -38,7 +38,8 @@ DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
 #: The dearest one, `verify --max-order N --max-k N`, took 4.9-8.0 s
-#: at N = 64 and 76 s at N = 128 on a 2-vCPU machine.
+#: at N = 64 and 59-102 s at N = 128 on a 2-vCPU machine whose speed
+#: swings by up to 1.8x.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

@@ -90,7 +90,7 @@ def recursion_segre(
     return (b.truncate(k) ** (g - 1) * s1.truncate(k))[k]
 
 
-def determine_b_prime(K: int) -> tuple[Fraction, ...]:
+def determine_b_prime(K: int) -> TruncatedPowerSeries:
     """Recover the convolution kernel from the closed formula alone.
 
     b' = S_1 / S_0 for the closed genus-g series S_g to order K, certified
@@ -105,4 +105,4 @@ def determine_b_prime(K: int) -> tuple[Fraction, ...]:
     for g in range(1, K + 2):
         if b_prime * S[g - 1] != S[g]:
             raise ArithmeticError(f"g={g}: b' S_(g-1) != S_g")
-    return b_prime.coefficients
+    return b_prime

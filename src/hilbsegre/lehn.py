@@ -30,9 +30,9 @@ l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6y at w = w(z): no powers and
 no composition per tuple.
 The n l_n are integers, and so is 12 (a, b, -c) at each of
 `UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
-engine's are.  One cache holds the substitution, w(z), the three logs
+engine's are.  One cache holds nine series, z(w), w(z), the three logs
 and the four unit series, built at the largest order requested so far;
-a lower order reads its prefix.
+a lower order reads their truncations.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .series import TruncatedPowerSeries, _exp_fractions, _exp_of_combination
+from .series import TruncatedPowerSeries, _exp_of_combination, _exp_series
 from .series import _grown_by_prefix, _log_numerators
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
@@ -86,8 +86,7 @@ def change_of_variable(
     """The substitution z(w) expanded to order N, and its inverse w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
-    zw, wz = _substitution(N)[:2]
-    return TruncatedPowerSeries(zw), TruncatedPowerSeries(wz)
+    return _substitution(N)[:2]
 
 
 #: The cubic y (1 - 4y)^2 = z (1 - 6y)^3 that w P(w) = z Q(w) becomes at
@@ -102,7 +101,7 @@ _UNIT_WEIGHTS = {
 
 
 @_grown_by_prefix
-def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
+def _substitution(N: int) -> tuple[TruncatedPowerSeries, ...]:
     """z(w), w(z), l1, l2, l3 (the logs of the three factors at w = w(z)), then A, C, D, B.
 
     With y = w - w^2, (1 - 2w)^2 = 1 - 4y and 1 - 6w + 6w^2 = 1 - 6y, so
@@ -115,7 +114,7 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     The factors 1 - w, 1 - 2w and 1 - 6y have integer coefficients, so
     `_log_numerators` gives the integers n l_n, and the unit series
     exp(u . (l1, l2, l3) / 12) for u in `_UNIT_WEIGHTS` cost one integer
-    dot product per coefficient and one `_exp_fractions` each.
+    dot product per coefficient and one `_exp_series` each.
     """
     left, right = _CUBIC
     powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(3)]  # [z^n] y^r
@@ -137,10 +136,10 @@ def _substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
         zw.append(x - sum(map(mul, den[1:], reversed(zw))))
     factors = ([1, *(-a * x for x in row[1:])] for a, row in ((1, w), (2, w), (6, y)))
     m = [_log_numerators(f, 1) for f in factors]  # m_n = n l_n
-    logs = (tuple(Fraction(x, n or 1) for n, x in enumerate(row)) for row in m)
+    logs = (TruncatedPowerSeries([Fraction(x, n or 1) for n, x in enumerate(row)]) for row in m)
     sums = ([sum(map(mul, u, column)) for column in zip(*m)] for u in _UNIT_WEIGHTS.values())
-    units = [_exp_fractions(g, 12) for g in sums]  # g_n = n (u . l)_n
-    return (tuple(map(Fraction, zw)), tuple(map(Fraction, w)), *logs, *units)
+    units = (_exp_series(g, 12) for g in sums)  # g_n = n (u . l)_n
+    return (TruncatedPowerSeries(zw), TruncatedPowerSeries(w), *logs, *units)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
@@ -160,8 +159,7 @@ def extract_lehn_universal(N: int) -> UniversalSeriesSet:
     """
     if N < 0:
         raise ValueError("order must be non-negative")
-    units = _substitution(N)[5:]
-    return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, map(TruncatedPowerSeries, units))))
+    return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, _substitution(N)[5:])))
 
 
 def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fraction], ...]:

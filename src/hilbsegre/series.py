@@ -6,12 +6,13 @@ different orders truncate to the smaller order, the precision actually
 supported by both operands.  Equality is exact, order included;
 `truncate` compares prefixes.  Coefficients are `fractions.Fraction` at
 the interface, in canonical reduced form; floats are rejected on input.
-Inside, a series holds numerators over one denominator D > 0 with
+A series is its numerators over one denominator D > 0 with
 gcd(D, *nums) == 1, so equal series hold equal integers, and every
 operation, `==` included, reads and writes those integers alone (Knuth,
-TAOCP vol. 2, 4.7).  A series built from `Fraction`s derives its
-integers when an operation first needs them; a result is born as
-integers and builds its `Fraction`s when a caller first reads them.
+TAOCP vol. 2, 4.7).  The constructor writes the `Fraction`s it is given
+over the lcm of their denominators and keeps them to be read; a result
+is born as integers and builds its `Fraction`s when a caller first
+reads them.
 
 Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
@@ -22,8 +23,8 @@ inverse power of the divisor; composition is Horner's rule on integer
 numerators.  The two cold builds, the engine's vanishing solve and the
 Lehn substitution, keep their logs as the integers j log_j and run the
 kernels `_log_numerators` and `_exp_numerators` (step `_exp_step`)
-directly; `_exp_series`, the one way from exp numerators to a series,
-serves them (through `_exp_fractions`) and `exp`.  Up to order K the exp
+directly, and cache series; `_exp_series`, the one way from exp
+numerators to a series, serves them and `exp`.  Up to order K the exp
 kernel scales E_n by exactly K! den^n for the den it is given: one
 integer dot product and one exact division per coefficient.  `exp`
 passes the denominator of j f_j, which for the log of a generic rational
@@ -98,7 +99,7 @@ class TruncatedPowerSeries:
     1 - z^2 + O(z^5)
     """
 
-    __slots__ = ("_fractions", "_integers")
+    __slots__ = ("_fractions", "_ints")
 
     def __init__(self, coefficients: Iterable[Scalar], order: int | None = None):
         coeffs = [as_rational(c) for c in coefficients]
@@ -111,8 +112,9 @@ class TruncatedPowerSeries:
                 coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
+        den = lcm(*(c.denominator for c in coeffs))  # so gcd(den, *nums) == 1
         object.__setattr__(self, "_fractions", tuple(coeffs))
-        object.__setattr__(self, "_integers", None)
+        object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in coeffs], den))
 
     @classmethod
     def _canonical(cls, nums: list[int], den: int) -> "TruncatedPowerSeries":
@@ -120,7 +122,7 @@ class TruncatedPowerSeries:
         common = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         series = object.__new__(cls)
         object.__setattr__(series, "_fractions", None)
-        object.__setattr__(series, "_integers", ([x // common for x in nums], den // common))
+        object.__setattr__(series, "_ints", ([x // common for x in nums], den // common))
         return series
 
     def __setattr__(self, name, value):
@@ -150,22 +152,15 @@ class TruncatedPowerSeries:
     # -- basic access --------------------------------------------------
 
     @property
-    def _ints(self) -> tuple[list[int], int]:
-        """(nums, den) with c_i = nums[i] / den, den > 0 and gcd(den, *nums) == 1."""
-        if self._integers is None:
-            object.__setattr__(self, "_integers", _scaled(self._fractions))
-        return self._integers
-
-    @property
     def coefficients(self) -> tuple[Fraction, ...]:
         if self._fractions is None:
-            nums, den = self._integers
+            nums, den = self._ints
             object.__setattr__(self, "_fractions", tuple(Fraction(x, den) for x in nums))
         return self._fractions
 
     @property
     def order(self) -> int:
-        return len(self._integers[0] if self._fractions is None else self._fractions) - 1
+        return len(self._ints[0]) - 1
 
     def __getitem__(self, k: int) -> Fraction:
         if not 0 <= k <= self.order:
@@ -184,7 +179,10 @@ class TruncatedPowerSeries:
         if order == self.order:
             return self
         nums, den = self._ints
-        return TruncatedPowerSeries._canonical(nums[: order + 1], den)
+        prefix = TruncatedPowerSeries._canonical(nums[: order + 1], den)
+        if self._fractions is not None:  # a cached build read at a lower order reads no new Fraction
+            object.__setattr__(prefix, "_fractions", self._fractions[: order + 1])
+        return prefix
 
     # -- equality and display -------------------------------------------
 
@@ -364,12 +362,6 @@ class TruncatedPowerSeries:
         return _reduced(g)
 
 
-def _scaled(coeffs) -> tuple[list[int], int]:
-    """Integer numerators over the lcm D of the reduced denominators: c_i = nums[i] / D."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _reduced(pairs) -> TruncatedPowerSeries:
     """The series of the x / d for (x, d) in pairs, each reduced by its own gcd, then over their lcm.
 
@@ -435,37 +427,32 @@ def _exp_series(g: list[int], den: int) -> TruncatedPowerSeries:
     return TruncatedPowerSeries._canonical([x * den ** (K - n) for n, x in enumerate(h)], h[0] * den**K)
 
 
-def _exp_fractions(g: list[int], den: int) -> tuple[Fraction, ...]:
-    """exp(f) as `Fraction`s, for f0 = 0 and j f_j = g[j] / den: the coefficients of `_exp_series`."""
-    return _exp_series(g, den).coefficients
-
-
 def _exp_of_combination(terms, order: int) -> TruncatedPowerSeries:
-    """exp(sum of weight * log) to `order`, for (weight, log coefficients) pairs.
+    """exp(sum of weight * log) to `order`, for (weight, log series) pairs.
 
     The logs are combined coefficientwise, so a product of rational
     powers f1^w1 * f2^w2 * ... costs one exp and no series products.
     """
-    terms = [(weight, log) for weight, log in terms if weight]
+    terms = [(weight, log.coefficients) for weight, log in terms if weight]
     return TruncatedPowerSeries(
         [sum((w * log[n] for w, log in terms), Fraction(0)) for n in range(order + 1)]
     ).exp()
 
 
 def _grown_by_prefix(build):
-    """Cache a build of coefficient tuples at the largest order requested so far.
+    """Cache a build of series at the largest order requested so far.
 
-    The cached quantities are prefix-stable: their entries up to index
-    N do not change when N grows, so a request at a smaller order reads
-    the prefixes of the largest build.
+    The cached series are prefix-stable: their coefficients up to z^N
+    do not change when N grows, so a request at a smaller order reads
+    the truncations of the largest build.
     """
     largest = [(-1, ())]  # one (order, parts) pair, replaced whole
 
     @wraps(build)
-    def cached(N: int) -> tuple[tuple[Fraction, ...], ...]:
+    def cached(N: int) -> tuple[TruncatedPowerSeries, ...]:
         order, parts = largest[0]
         if N > order:
             order, parts = largest[0] = N, build(N)
-        return tuple(part[: N + 1] for part in parts)
+        return tuple(part.truncate(N) for part in parts)
 
     return cached

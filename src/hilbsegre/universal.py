@@ -33,11 +33,12 @@ O(z^2).  It runs on the integers j log_j and the exp kernel step of
 while its weights hold, its z^k step corrected in place once the
 unknowns are solved), and solves each 2 x 2 step by one exact integer
 division, which raises if j log_j is not an integer.  The same
-build exponentiates the rows through `series._exp_fractions`, and it is
-kept at the largest order requested so far: `universal_series_set(N)`
-and its views read it with no exp.  The solve and its log layout are
-private to this module: other modules read the engine through
-`universal_series_set` and `segre_series`.
+build exponentiates the rows through `series._exp_series`, and its
+eight series, the four logs and A, C, D, B, are kept at the largest
+order requested so far: `universal_series_set(N)` and its views read
+them with no exp.  The solve and its log layout are private to this
+module: other modules read the engine through `universal_series_set`
+and `segre_series`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from functools import cached_property
 from math import factorial
 from operator import mul
 
-from .series import TruncatedPowerSeries, _exp_fractions
-from .series import _exp_of_combination, _exp_step, _grown_by_prefix
+from .series import TruncatedPowerSeries, _exp_of_combination, _exp_series
+from .series import _exp_step, _grown_by_prefix
 
 __all__ = [
     "SurfaceInvariants",
@@ -81,14 +82,6 @@ class SurfaceInvariants:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"invariant {name} must be an integer")
-
-    def __add__(self, other: "SurfaceInvariants") -> "SurfaceInvariants":
-        """Componentwise sum: the invariants of a disjoint union."""
-        if not isinstance(other, SurfaceInvariants):
-            return NotImplemented
-        return SurfaceInvariants(
-            self.d + other.d, self.pi + other.pi, self.kappa + other.kappa, self.e + other.e
-        )
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.d, self.pi, self.kappa, self.e)
@@ -137,9 +130,9 @@ class UniversalSeriesSet:
         return self.A.order
 
     @cached_property
-    def _logs(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _logs(self) -> tuple[TruncatedPowerSeries, ...]:
         """The logs of the series in the order of `UNIT_TUPLES`."""
-        return tuple(getattr(self, name).log().coefficients for name in UNIT_TUPLES)
+        return tuple(getattr(self, name).log() for name in UNIT_TUPLES)
 
 
 def blowup_targets(k: int) -> tuple[SurfaceInvariants, SurfaceInvariants]:
@@ -228,15 +221,15 @@ def _probe_and_solve(G, slots: tuple[int, int], vanishings, N: int) -> None:
 
 
 @_grown_by_prefix
-def _universal_logs(N: int) -> tuple[tuple[Fraction, ...], ...]:
+def _universal_logs(N: int) -> tuple[TruncatedPowerSeries, ...]:
     """log A, log C, log D, log B to order N from the seeds and both families, then A, C, D, B."""
     G = [[0] * (N + 1) for _ in range(4)]
     if N >= 1:
         G[0][1] = 1  # log A = z + O(z^2)
     _probe_and_solve(G, (0, 3), _k3_vanishings, N)
     _probe_and_solve(G, (1, 2), _blowup_vanishings, N)
-    logs = tuple(tuple(Fraction(x, n or 1) for n, x in enumerate(row)) for row in G)
-    return logs + tuple(_exp_fractions(row, 1) for row in G)
+    logs = tuple(TruncatedPowerSeries([Fraction(x, n or 1) for n, x in enumerate(row)]) for row in G)
+    return logs + tuple(_exp_series(row, 1) for row in G)
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
@@ -256,9 +249,7 @@ def universal_series_set(N: int) -> UniversalSeriesSet:
     if N < 0:
         raise ValueError("order must be non-negative")
     parts = _universal_logs(N)
-    U = UniversalSeriesSet(
-        **{name: TruncatedPowerSeries(series) for name, series in zip(UNIT_TUPLES, parts[4:])}
-    )
+    U = UniversalSeriesSet(**dict(zip(UNIT_TUPLES, parts[4:])))
     vars(U)["_logs"] = parts[:4]
     return U
 

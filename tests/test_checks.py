@@ -113,9 +113,7 @@ def test_k3_checks_print_a_counterexample_past_the_int_digit_limit(monkeypatch):
 
 def test_b_vs_bprime_catches_a_bumped_kernel_entry(monkeypatch):
     b_prime = k3.determine_b_prime
-    monkeypatch.setattr(
-        k3, "determine_b_prime", lambda K: tuple(x + (l == 4) for l, x in enumerate(b_prime(K)))
-    )
+    monkeypatch.setattr(k3, "determine_b_prime", lambda K: TruncatedPowerSeries(_bumped(b_prime(K), 4)))
     assert _single_failure(checks.b_vs_bprime, None, 0, 5).startswith("index 4: b=")
 
 
@@ -239,8 +237,8 @@ def _fault_in_log(name):
 
         def faulty(N):
             parts = list(solve(N))
-            parts[slot] = _bumped(parts[slot], 2)
-            parts[4 + slot] = TruncatedPowerSeries(parts[slot]).exp().coefficients
+            parts[slot] = TruncatedPowerSeries(_bumped(parts[slot], 2))
+            parts[4 + slot] = parts[slot].exp()
             return tuple(parts)
 
         monkeypatch.setattr(universal, "_universal_logs", faulty)
@@ -279,7 +277,7 @@ def _fault_in_w(monkeypatch):
         w = TruncatedPowerSeries(_bumped(wz, 2))
         logs = [f.log() for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)]
         units = [(sum(x * l for x, l in zip(u, logs)) / 12).exp() for u in lehn._UNIT_WEIGHTS.values()]
-        return (zw, w.coefficients, *(f.coefficients for f in logs + units))
+        return (zw, w, *logs, *units)
 
     monkeypatch.setattr(lehn, "_substitution", substitution)
 

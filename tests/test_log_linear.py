@@ -91,4 +91,4 @@ def test_changed_series_are_not_served_cached_logs():
 
 def test_series_set_carries_the_logs_of_its_series():
     U = universal_series_set(12)
-    assert U._logs == tuple(s.log().coefficients for s in (U.A, U.C, U.D, U.B))
+    assert U._logs == tuple(s.log() for s in (U.A, U.C, U.D, U.B))

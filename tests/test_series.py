@@ -19,8 +19,11 @@ from hilbsegre import (
     TruncatedPowerSeries as TPS,
     as_rational,
     format_rational,
+    lehn,
     parse_rational,
+    universal,
 )
+from hilbsegre.series import _grown_by_prefix
 
 from tests._oracles import (
     exp_by_taylor_sum,
@@ -83,7 +86,7 @@ def test_immutable():
         with pytest.raises(AttributeError):
             f.order = 5
         with pytest.raises(AttributeError):
-            f._integers = ([7, 8, 9], 1)
+            f._ints = ([7, 8, 9], 1)
         with pytest.raises(TypeError):
             f.coefficients[0] = F(2)
         assert f.coefficients == (F(1), F(2), F(3))
@@ -652,9 +655,13 @@ def _born(f, from_kernel):
     return f * 1 if from_kernel else f
 
 
-def _assert_canonical_and_equal(result, reference):
-    nums, den = result._ints
+def _assert_canonical(series):
+    nums, den = series._ints
     assert den > 0 and math.gcd(den, *nums) == 1, (nums, den)
+
+
+def _assert_canonical_and_equal(result, reference):
+    _assert_canonical(result)
     assert result.coefficients == tuple(reference)
     assert all(type(c) is F for c in result.coefficients)
 
@@ -664,11 +671,13 @@ def _assert_canonical_and_equal(result, reference):
        st.booleans(), st.booleans())
 def test_prop_every_operation_returns_canonical_integers(f_tail, g_tail, f0, g0, alpha, f_kernel, g_kernel):
     # operands born both ways; the stored integers are (nums, den) with
-    # den > 0 and gcd(den, *nums) == 1, whatever form the operands had
+    # den > 0 and gcd(den, *nums) == 1, whatever form the operands had, and
+    # the constructor stores them so with no operation in between
     f, g = _born(TPS([f0] + f_tail), f_kernel), _born(TPS([g0] + g_tail), g_kernel)
     unit, nilpotent = _born(TPS([1] + g_tail), f_kernel), _born(TPS([0] + f_tail), g_kernel)
     n = min(f.order, g.order)
     cases = [
+        (TPS([f0] + f_tail), [f0, *f_tail]),
         (f + g, [a + b for a, b in zip(f, g)]),
         (f - g, [a - b for a, b in zip(f, g)]),
         (-f, [-a for a in f]),
@@ -690,6 +699,19 @@ def test_prop_every_operation_returns_canonical_integers(f_tail, g_tail, f0, g0,
         cases.append((nilpotent.revert(), undetermined_revert(nilpotent).coefficients))
     for result, reference in cases:
         _assert_canonical_and_equal(result, reference)
+
+
+@pytest.mark.parametrize("cache", [universal._universal_logs, lehn._substitution], ids=["engine", "lehn"])
+def test_every_part_of_both_caches_is_a_series_with_canonical_integers(cache):
+    # an empty cache grown through each order, every one a fresh build, then
+    # read again at each order, every one a truncation of the largest build
+    orders = (0, 1, 8, 32)
+    grown = _grown_by_prefix(cache.__wrapped__)
+    for _ in range(2):
+        for N in orders:
+            for part in grown(N):
+                assert type(part) is TPS and part.order == N
+                _assert_canonical(part)
 
 
 @given(any_series, any_series, st.booleans(), st.booleans(), st.integers(0, 9))
@@ -747,13 +769,11 @@ def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
 
 #: Each integer kernel, with the modules allowed to use it outside `series`.
 INTEGER_KERNELS = {
-    "_scaled": set(),
     "_convolve": set(),
     "_exp_numerators": set(),
     "_exp_step": {"universal.py"},
     "_log_numerators": {"lehn.py"},
-    "_exp_fractions": {"universal.py", "lehn.py"},
-    "_exp_series": set(),
+    "_exp_series": {"universal.py", "lehn.py"},
     "_reduced": set(),
 }
 
