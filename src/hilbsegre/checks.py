@@ -6,16 +6,17 @@ the series comparisons, `max_k` the largest index of the K3 and
 vanishing checks.  `REGISTRY` is in report order.  The library is
 called through its modules (`k3.closed_segre`), so what runs is what the
 module attribute holds, such as a tracing wrapper or an injected fault.
-s5-polynomial (126 simplex tuples), closed-vs-recursion (max_k + 1 or
-more genera, and two for Lehn), engine-vs-lehn-grid (the zero and unit
-tuples) and degenerate-family (kappa = 1) prove their identities rather
-than sample them; their docstrings give the argument.  Every value in a
+s5-polynomial (the engine's s_5 polynomial on 126 tuples), closed-vs-recursion
+(max_k + 1 or more genera, and two for Lehn), engine-vs-lehn-grid (the zero
+and unit tuples) and degenerate-family (kappa = 1) prove their identities
+rather than sample them; their docstrings give the argument.  Every value in a
 report goes through `format_rational`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,11 +190,12 @@ _S5_SIMPLEX = tuple(x for x in itertools.product(range(6), repeat=4) if sum(x) <
 def s5_polynomial(U, order: int, max_k: int):
     """The published s_5 polynomial vanishes at the k = 5 targets and equals the engine's.
 
-    The equality is proved, not sampled.  Both sides are polynomials of
-    total degree at most 5 in (d, pi, kappa, e) for any U: the engine's
-    s_5 is the z^5 coefficient of exp(d log A + e log B + pi log C +
-    kappa log D), and the logs of unit series have no constant term.
-    Newton's forward-difference formula
+    The equality is proved, not sampled.  The engine's s_5 is the z^5
+    coefficient of exp(d log A + e log B + pi log C + kappa log D), the
+    polynomial `universal.segre_polynomial(5, U)`, evaluated here on
+    integers over one denominator.  Both sides have total degree at most
+    5 in (d, pi, kappa, e) for any U, as the logs of unit series have no
+    constant term.  Newton's forward-difference formula
     p(x) = sum_{|alpha| <= 5} Delta^alpha p(0) prod_i C(x_i, alpha_i)
     reads such a polynomial from its values on the simplex x >= 0,
     sum x <= 5, so agreement on its 126 points is agreement everywhere.
@@ -202,9 +204,14 @@ def s5_polynomial(U, order: int, max_k: int):
         value = lehn.eval_s5_polynomial(target)
         if value != 0:
             return f"nonzero at {_fmt(target)}: {_str(value)}"
+    P = universal.segre_polynomial(5, U)
+    den = math.lcm(*(c.denominator for c in P.values()))
+    terms = [(int(c * den), m) for m, c in P.items()]
     differing = []
-    for inv in itertools.starmap(universal.SurfaceInvariants, _S5_SIMPLEX):
-        polynomial, engine = lehn.eval_s5_polynomial(inv), universal.segre_number(inv, 5, U)
+    for x in _S5_SIMPLEX:
+        inv = universal.SurfaceInvariants(*x)
+        polynomial = lehn.eval_s5_polynomial(inv)
+        engine = Fraction(sum(a * math.prod(map(pow, x, m)) for a, m in terms), den)
         if polynomial != engine:
             differing.append(f"{_fmt(inv)}: polynomial {_str(polynomial)} vs engine {_str(engine)}")
     if differing:

@@ -32,7 +32,8 @@ The n l_n are integers, and so is 12 (a, b, -c) at each of
 `UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
 engine's are.  One cache holds nine series, z(w), w(z), the three logs
 and the four unit series, built at the largest order requested so far;
-a lower order reads their truncations.
+a lower order reads their truncations, except in `lehn_series`, whose
+exp reads the logs of the largest build no further than it needs.
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -146,8 +147,8 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     """Taylor expansion of the Lehn function in z (not w) to order N."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    exps = lehn_exponents(inv)
-    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:5]), N)
+    exps = lehn_exponents(inv)  # the kernel reads the logs to z^N: no truncation
+    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution.largest(N)[2:5]), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:
@@ -171,7 +172,7 @@ def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fr
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
-    _substitution(max_k)  # one build; every lower order reads its prefix
+    _substitution.largest(max_k)  # one build; every lower order reads its prefix
     report = []
     for k in range(2, max_k + 1):
         for target in blowup_targets(k):

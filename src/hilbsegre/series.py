@@ -444,15 +444,19 @@ def _grown_by_prefix(build):
 
     The cached series are prefix-stable: their coefficients up to z^N
     do not change when N grows, so a request at a smaller order reads
-    the truncations of the largest build.
+    the truncations of the largest build; `.largest(N)` serves that
+    build itself, grown to order N at least, to a reader of z^0 .. z^N.
     """
     largest = [(-1, ())]  # one (order, parts) pair, replaced whole
 
+    def grown(N: int) -> tuple[TruncatedPowerSeries, ...]:
+        if N > largest[0][0]:
+            largest[0] = N, build(N)
+        return largest[0][1]
+
     @wraps(build)
     def cached(N: int) -> tuple[TruncatedPowerSeries, ...]:
-        order, parts = largest[0]
-        if N > order:
-            order, parts = largest[0] = N, build(N)
-        return tuple(part.truncate(N) for part in parts)
+        return tuple(part.truncate(N) for part in grown(N))
 
+    cached.largest = grown
     return cached

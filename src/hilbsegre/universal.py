@@ -12,7 +12,8 @@ the multiplicative shape
 
 for fixed unit series A, B, C, D.  Evaluation is log-linear: s =
 exp(d log A + e log B + pi log C + kappa log D), one exp of a linear
-combination of four cached logs.
+combination of four cached logs; run on the variables themselves, the
+exp kernel gives s_k as one polynomial (`segre_polynomial`).
 
 The logs come from one probe-and-solve on two vanishing families.  The
 z^k coefficient of exp(L) is L_k plus a polynomial in lower ones, so
@@ -46,10 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
-from operator import mul
+from itertools import product as product_of
+from math import factorial, lcm
+from operator import add, mul
 
-from .series import TruncatedPowerSeries, _exp_of_combination, _exp_series
+from .series import TruncatedPowerSeries, _exp_of_combination, _exp_numerators, _exp_series
 from .series import _exp_step, _grown_by_prefix
 
 __all__ = [
@@ -60,6 +62,7 @@ __all__ = [
     "determine_AB",
     "determine_CD",
     "segre_number",
+    "segre_polynomial",
     "segre_series",
     "universal_series_set",
 ]
@@ -277,3 +280,43 @@ def segre_series(
 def segre_number(inv: SurfaceInvariants, k: int, U: UniversalSeriesSet) -> Fraction:
     """The k-th Segre number for `inv` through the engine."""
     return segre_series(inv, k, U)[k]
+
+
+class _Polynomial(dict):
+    """An integer polynomial in (d, pi, kappa, e), exponents -> coefficient: the ring `_exp_step` needs."""
+
+    def __add__(self, other):  # or the 0 that `sum` starts from
+        other = other or {}
+        return _Polynomial({m: self.get(m, 0) + other.get(m, 0) for m in {**self, **other}})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Polynomial({m: a * other for m, a in self.items()})
+        product = _Polynomial()
+        for (m, a), (n, b) in product_of(self.items(), other.items()):
+            key = tuple(map(add, m, n))
+            product[key] = product.get(key, 0) + a * b
+        return product
+
+    def __floordiv__(self, n: int):
+        return _Polynomial({m: a // n for m, a in self.items()})
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def segre_polynomial(k: int, U: UniversalSeriesSet) -> dict[tuple[int, int, int, int], Fraction]:
+    """s_k as a polynomial P_k(d, pi, kappa, e): exponents -> nonzero coefficient.
+
+    The exp kernel runs on polynomial weights j f_j = sum_i x_i (j log_(i,j)),
+    over the common denominator den of the j log_(i,j) (1 for a solved set).
+    """
+    if k < 0:
+        raise ValueError("order must be non-negative")
+    if k > U.order:
+        raise ValueError("insufficient truncation order")
+    rows = [[j * c for j, c in enumerate(log.coefficients[: k + 1])] for log in U._logs]
+    den = lcm(*(c.denominator for row in rows for c in row))
+    units = [x.as_tuple() for x in UNIT_TUPLES.values()]  # log i weighs the variable x_i
+    g = [_Polynomial({x: int(c * den) for x, c in zip(units, column) if c}) for column in zip(*rows)]
+    h = _exp_numerators(g, den)  # P_k = h_k / (k! den^k), and h_0 = k! is an int
+    return {m: Fraction(a, h[0] * den**k) for m, a in (_Polynomial({(0,) * 4: 1}) * h[k]).items() if a}

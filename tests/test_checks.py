@@ -16,8 +16,9 @@ from fractions import Fraction
 
 import pytest
 
-from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn, universal
+from hilbsegre import SurfaceInvariants, TruncatedPowerSeries, checks, cli, k3, lehn, series, universal
 from hilbsegre import format_rational, universal_series_set
+from hilbsegre.series import _grown_by_prefix
 from hilbsegre.universal import UNIT_TUPLES
 from tests import test_acceptance
 
@@ -268,8 +269,8 @@ def _fault_in_b(monkeypatch):
 
 
 def _fault_in_w(monkeypatch):
-    # a fresh build of the substitution with w(z) bumped before the three logs,
-    # and the four unit series exp(u . (l1, l2, l3) / 12) from them, are taken
+    # an empty cache over a fresh build of the substitution with w(z) bumped before
+    # the three logs, and the four unit series exp(u . (l1, l2, l3) / 12) from them, are taken
     build = lehn._substitution.__wrapped__
 
     def substitution(N):
@@ -279,14 +280,14 @@ def _fault_in_w(monkeypatch):
         units = [(sum(x * l for x, l in zip(u, logs)) / 12).exp() for u in lehn._UNIT_WEIGHTS.values()]
         return (zw, w, *logs, *units)
 
-    monkeypatch.setattr(lehn, "_substitution", substitution)
+    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(substitution))
 
 
 def _fault_in_substitution_polynomial(monkeypatch):
-    # the y^3 coefficient of (1 - 6y)^3 one too large (-215 for -216), in a
-    # fresh build: y(z), and so w(z), moves first at z^4
+    # the y^3 coefficient of (1 - 6y)^3 one too large (-215 for -216), in an
+    # empty cache: y(z), and so w(z), moves first at z^4
     left, right = lehn._CUBIC
-    monkeypatch.setattr(lehn, "_substitution", lehn._substitution.__wrapped__)
+    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(lehn._substitution.__wrapped__))
     monkeypatch.setattr(lehn, "_CUBIC", (left, _bumped(right, 3)))
 
 
@@ -299,6 +300,17 @@ def _fault_in_exponent(monkeypatch):
         return replace(exps, b=exps.b + 4 * inv.pi)
 
     monkeypatch.setattr(lehn, "lehn_exponents", slipped)
+
+
+def _fault_in_combination(monkeypatch):
+    # the combined log one too large at z^2, in the per-tuple exp both series routes share
+    combine = series._exp_of_combination
+
+    def bumped(terms, order):
+        return combine([*terms, (1, TruncatedPowerSeries([0, 0, 1], order=order))], order)
+
+    for module in (universal, lehn):
+        monkeypatch.setattr(module, "_exp_of_combination", bumped)
 
 
 def _fault_in_closed_formula(monkeypatch):
@@ -314,6 +326,7 @@ COMPONENT_FAULTS = {
     "w(z)": (_fault_in_w, "lehn-vanishing k=2"),
     "substitution polynomial": (_fault_in_substitution_polynomial, "lehn-vanishing k=4"),
     "Lehn exponent": (_fault_in_exponent, "engine-vs-lehn-grid"),
+    "log combination": (_fault_in_combination, "closed-vs-recursion"),
     "closed formula": (_fault_in_closed_formula, "closed-vs-recursion"),
 }
 

@@ -35,6 +35,7 @@ from hilbsegre import (
     verify_lehn_vanishings,
 )
 from hilbsegre.cli import MAX_ORDER
+from hilbsegre.series import _grown_by_prefix
 from tests._oracles import LEHN_P, LEHN_Q, fraction_div, reverted_substitution
 
 U8 = universal_series_set(8)
@@ -185,7 +186,7 @@ def test_lehn_route_reads_no_engine(monkeypatch):
         for name in engine:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(lehn, "_substitution", build)  # no cached prefix to read
+    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(build))  # an empty cache
     with pytest.raises(RuntimeError):
         universal.universal_series_set(2)
     assert build(8) == expected[0]
@@ -255,7 +256,7 @@ def test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(N):
 def test_a_wrong_unit_weight_fails_the_oracle_and_the_engine(monkeypatch, weights):
     # B's l3 weight -1 -> -2 moves B's linear coefficient, which the set
     # refuses with ValueError; (6, 0, -1) keeps it 0 and moves B from z^2 on
-    monkeypatch.setattr(lehn, "_substitution", lehn._substitution.__wrapped__)  # uncached
+    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(lehn._substitution.__wrapped__))  # an empty cache
     monkeypatch.setitem(lehn._UNIT_WEIGHTS, "B", weights)
     with pytest.raises((AssertionError, ValueError)):
         test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(8)

@@ -770,7 +770,7 @@ def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
 #: Each integer kernel, with the modules allowed to use it outside `series`.
 INTEGER_KERNELS = {
     "_convolve": set(),
-    "_exp_numerators": set(),
+    "_exp_numerators": {"universal.py"},
     "_exp_step": {"universal.py"},
     "_log_numerators": {"lehn.py"},
     "_exp_series": {"universal.py", "lehn.py"},
@@ -780,8 +780,9 @@ INTEGER_KERNELS = {
 
 def test_integer_kernels_are_defined_in_series_and_used_only_by_the_cold_builds():
     # outside `series`, only the two cold builds, the engine's vanishing solve
-    # and the Lehn substitution, work on integer logs, each through the kernels
-    # listed for it; everything else goes through the public TruncatedPowerSeries API
+    # and the Lehn substitution, and the engine's symbolic `segre_polynomial`
+    # work on integer logs, each through the kernels listed for it; everything
+    # else goes through the public TruncatedPowerSeries API
     defined, used = {}, {}
     for path in sorted(Path(hilbsegre.series.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

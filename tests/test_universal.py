@@ -8,8 +8,9 @@ the Lehn function at the single-exponent tuples.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction as F
 from math import factorial
 
@@ -30,6 +31,7 @@ from hilbsegre import (
     k3,
     lehn,
     segre_number,
+    segre_polynomial,
     segre_series,
     universal,
     universal_series_set,
@@ -255,7 +257,7 @@ def test_solve_rebuilds_a_probe_when_its_weights_change_and_the_set_runs_four_ex
 
     monkeypatch.setattr(universal, "_exp_step", step_spy)
     monkeypatch.setattr(hilbsegre.series, "_exp_numerators", spy)  # the set's, by _exp_series
-    assert not hasattr(universal, "_exp_numerators")
+    monkeypatch.setattr(universal, "_exp_numerators", spy)  # and segre_polynomial's
     G = [[0] * (N + 1) for _ in range(4)]
     G[0][1] = 1
     universal._probe_and_solve(G, (0, 3), universal._k3_vanishings, N)
@@ -394,6 +396,52 @@ def test_k_factorial_times_sk_is_integer():
             assert value.denominator == 1, (inv, k)
 
 
+# -- the symbolic polynomial P_k ------------------------------------------------------
+
+
+def _faulted_set():
+    """The set of `verify --inject-fault`: D's z^2 coefficient one too large."""
+    coefficients = list(U8.D.coefficients)
+    coefficients[2] += 1
+    return replace(U8, D=TruncatedPowerSeries(coefficients))
+
+
+def _evaluated(P, x):
+    return sum(c * math.prod(map(pow, x, m)) for m, c in P.items())
+
+
+@pytest.mark.parametrize("U", [U8, _faulted_set()], ids=["solved", "inject-fault"])
+def test_segre_polynomial_equals_the_engine(U):
+    # the zero tuple, the four unit tuples and seeded tuples in [-40, 40]^4
+    rng = random.Random(2015)
+    tuples = [(0, 0, 0, 0), *(x.as_tuple() for x in UNIT_TUPLES.values())]
+    tuples += [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(12)]
+    for k in range(9):
+        P = segre_polynomial(k, U)
+        assert all(c != 0 for c in P.values()), k
+        for x in tuples:
+            assert _evaluated(P, x) == segre_number(SurfaceInvariants(*x), k, U), (k, x)
+
+
+@pytest.mark.parametrize("U", [U8, _faulted_set()], ids=["solved", "inject-fault"])
+def test_segre_polynomial_has_weighted_degree_at_most_k(U):
+    # d weighs 1, pi, kappa and e weigh 2: log C, log D and log B start at z^2
+    for k in range(9):
+        P = segre_polynomial(k, U)
+        assert max(d + 2 * (p + q + e) for d, p, q, e in P) <= k, k
+        assert P.get((k, 0, 0, 0)) == F(1, factorial(k))  # log A = z + O(z^2)
+
+
+def test_segre_polynomial_of_a_solved_set_has_denominators_dividing_k_factorial():
+    for k in range(9):
+        assert all(factorial(k) % c.denominator == 0 for c in segre_polynomial(k, U8).values()), k
+    assert segre_polynomial(2, U8) == {
+        (2, 0, 0, 0): F(1, 2), (1, 0, 0, 0): F(-5), (0, 1, 0, 0): F(-5, 2),
+        (0, 0, 1, 0): F(-1, 2), (0, 0, 0, 1): F(1, 2),
+    }
+    assert segre_polynomial(0, U8) == {(0, 0, 0, 0): F(1)}
+
+
 def test_a_series_past_the_int_digit_limit_prints_exactly():
     # the z^64 coefficient's numerator has 4,410 digits, past the 4,300 that
     # str(int) refuses since Python 3.10.7: the display goes through format_rational
@@ -409,6 +457,7 @@ def test_negative_order_rejected():
     calls = (
         lambda: segre_series(inv, -1, U8),
         lambda: segre_number(inv, -1, U8),
+        lambda: segre_polynomial(-1, U8),
         lambda: universal_series_set(-1),
         lambda: determine_AB(-1),
         lambda: determine_CD(-1),
@@ -423,6 +472,8 @@ def test_insufficient_order_rejected():
         segre_number(SurfaceInvariants(2, 0, 0, 0), 9, U8)
     with pytest.raises(ValueError, match="insufficient truncation order"):
         segre_series(SurfaceInvariants(2, 0, 0, 0), 9, U8)
+    with pytest.raises(ValueError, match="insufficient truncation order"):
+        segre_polynomial(9, U8)
 
 
 # -- blow-up targets ---------------------------------------------------------------------
