@@ -16,11 +16,11 @@ report goes through `format_rational`.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import lcm
 
 from . import k3, lehn, series, universal
 
@@ -205,13 +205,13 @@ def s5_polynomial(U, order: int, max_k: int):
         if value != 0:
             return f"nonzero at {_fmt(target)}: {_str(value)}"
     P = universal.segre_polynomial(5, U)
-    den = math.lcm(*(c.denominator for c in P.values()))
+    den = lcm(*(c.denominator for c in P.values()))
     terms = [(int(c * den), m) for m, c in P.items()]
     differing = []
-    for x in _S5_SIMPLEX:
-        inv = universal.SurfaceInvariants(*x)
+    for d, p, q, e in _S5_SIMPLEX:
+        inv = universal.SurfaceInvariants(d, p, q, e)
         polynomial = lehn.eval_s5_polynomial(inv)
-        engine = Fraction(sum(a * math.prod(map(pow, x, m)) for a, m in terms), den)
+        engine = Fraction(sum(a * d**i * p**j * q**r * e**s for a, (i, j, r, s) in terms), den)
         if polynomial != engine:
             differing.append(f"{_fmt(inv)}: polynomial {_str(polynomial)} vs engine {_str(engine)}")
     if differing:

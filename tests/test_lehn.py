@@ -154,6 +154,24 @@ def test_lower_order_reads_prefix_of_larger_build():
     assert extract_lehn_universal(6) == UniversalSeriesSet(**fresh_units)
 
 
+def test_lehn_series_below_the_cached_order_truncates_nothing(monkeypatch):
+    # its exp reads the largest build's logs no further than z^N, so the
+    # nine cached parts are not cut down on each call
+    inv = SurfaceInvariants(3, -1, 2, 13)
+    exps = lehn_exponents(inv)
+    weights = (exps.a, exps.b, -exps.c)
+    lehn._substitution(12)
+    fresh = [lehn._substitution.__wrapped__(N)[2:5] for N in range(13)]
+    expected = [series._exp_of_combination(zip(weights, logs), N) for N, logs in enumerate(fresh)]
+
+    def refuse(self, order):
+        raise RuntimeError("a cached part was truncated")
+
+    monkeypatch.setattr(TruncatedPowerSeries, "truncate", refuse)
+    assert [lehn_series(inv, N) for N in range(13)] == expected
+    assert len(verify_lehn_vanishings(8)) == 14
+
+
 def test_substitution_logs_equal_the_series_construction():
     # the three factors are built on the integer rows of w and y = w - w^2; the
     # reference builds them with series arithmetic, w^2 as a product
