@@ -6,11 +6,12 @@ the series comparisons, `max_k` the largest index of the K3 and
 vanishing checks.  `REGISTRY` is in report order.  The library is
 called through its modules (`k3.closed_segre`), so what runs is what the
 module attribute holds, such as a tracing wrapper or an injected fault.
-s5-polynomial (the engine's s_5 polynomial on 126 tuples), closed-vs-recursion
-(max_k + 1 or more genera, and two for Lehn), engine-vs-lehn-grid (the zero
-and unit tuples) and degenerate-family (kappa = 1) prove their identities
-rather than sample them; their docstrings give the argument.  Every value in a
-report goes through `format_rational`.
+s5-polynomial (the engine's s_5 polynomial against the published one,
+monomial by monomial), closed-vs-recursion (max_k + 1 or more genera, and two
+for Lehn), engine-vs-lehn-grid (the zero and unit tuples) and
+degenerate-family (kappa = 1) prove their identities rather than sample them;
+their docstrings give the argument.  Every value in a report goes through
+`format_rational`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from math import lcm
 
 from . import k3, lehn, series, universal
 
@@ -182,40 +182,29 @@ def lehn_vanishing(U, order: int, max_k: int) -> list[Outcome]:
     return outcomes
 
 
-#: The 126 tuples (d, pi, kappa, e) with non-negative entries summing to at most 5.
-_S5_SIMPLEX = tuple(x for x in itertools.product(range(6), repeat=4) if sum(x) <= 5)
-
-
 @_single("s5-polynomial")
 def s5_polynomial(U, order: int, max_k: int):
     """The published s_5 polynomial vanishes at the k = 5 targets and equals the engine's.
 
-    The equality is proved, not sampled.  The engine's s_5 is the z^5
-    coefficient of exp(d log A + e log B + pi log C + kappa log D), the
-    polynomial `universal.segre_polynomial(5, U)`, evaluated here on
-    integers over one denominator.  Both sides have total degree at most
-    5 in (d, pi, kappa, e) for any U, as the logs of unit series have no
-    constant term.  Newton's forward-difference formula
-    p(x) = sum_{|alpha| <= 5} Delta^alpha p(0) prod_i C(x_i, alpha_i)
-    reads such a polynomial from its values on the simplex x >= 0,
-    sum x <= 5, so agreement on its 126 points is agreement everywhere.
+    The engine's s_5 is the polynomial `universal.segre_polynomial(5, U)`
+    and the published one is the table `lehn._S5_TIMES_120` over 5!, so
+    the two are compared coefficient by coefficient, over the union of
+    their monomials in descending exponent order.
     """
     for target in universal.blowup_targets(5):
         value = lehn.eval_s5_polynomial(target)
         if value != 0:
             return f"nonzero at {_fmt(target)}: {_str(value)}"
-    P = universal.segre_polynomial(5, U)
-    den = lcm(*(c.denominator for c in P.values()))
-    terms = [(int(c * den), m) for m, c in P.items()]
-    differing = []
-    for d, p, q, e in _S5_SIMPLEX:
-        inv = universal.SurfaceInvariants(d, p, q, e)
-        polynomial = lehn.eval_s5_polynomial(inv)
-        engine = Fraction(sum(a * d**i * p**j * q**r * e**s for a, (i, j, r, s) in terms), den)
-        if polynomial != engine:
-            differing.append(f"{_fmt(inv)}: polynomial {_str(polynomial)} vs engine {_str(engine)}")
+    published = {m: Fraction(c, 120) for m, c in lehn._S5_TIMES_120.items()}
+    engine = universal.segre_polynomial(5, U)
+    monomials = sorted(published.keys() | engine.keys(), reverse=True)
+    differing = [m for m in monomials if published.get(m, 0) != engine.get(m, 0)]
     if differing:
-        return f"{differing[0]}; {len(differing)} of {len(_S5_SIMPLEX)} simplex tuples differ"
+        m = differing[0]
+        return (
+            f"(d,pi,kappa,e)^({','.join(map(str, m))}): published {_str(published.get(m, 0))}"
+            f" vs engine {_str(engine.get(m, 0))}; {len(differing)} of {len(monomials)} monomials differ"
+        )
 
 
 @_single("degenerate-family")

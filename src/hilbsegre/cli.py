@@ -12,10 +12,10 @@ Subcommands, one per kind of output:
 Values are printed as exact "p/q" strings of any size, never as
 decimals.  The truncation order of `series` and `verify` is 8 unless
 their --order and --max-order flags say otherwise; `number` evaluates
-at order --k.  No order, k or max-k may exceed MAX_ORDER: argparse
-refuses one as a usage error before any work starts.  Every command
-writes to stdout.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+at order --k.  argparse refuses an order, k or max-k above MAX_ORDER,
+or a max-k below 2, as a usage error before any work starts.  Every
+command writes to stdout.  Exit codes: 0 success, 1 verification
+failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -107,9 +107,6 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_k < 2:
-        print("--max-k must be at least 2", file=sys.stderr)
-        return 2
     U = universal_series_set(max(args.max_order, 5))
     if args.inject_fault:
         coefficients = list(U.D.coefficients)
@@ -128,13 +125,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _order(text: str) -> int:
+def _order(text: str, low: int = 0) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if not 0 <= value <= MAX_ORDER:
-        raise argparse.ArgumentTypeError(f"must be from 0 to {MAX_ORDER}, got {value}")
+    if not low <= value <= MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be from {low} to {MAX_ORDER}, got {value}")
     return value
 
 
@@ -175,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.set_defaults(func=cmd_series)
 
     p_verify = sub.add_parser("verify", help="run the cross-validation suite")
-    p_verify.add_argument("--max-k", type=_order, default=8)
+    p_verify.add_argument("--max-k", type=lambda text: _order(text, 2), default=8)
     p_verify.add_argument("--max-order", type=_order, default=DEFAULT_ORDER)
     p_verify.add_argument("--inject-fault", action="store_true",
                           help="testing aid: corrupt one engine coefficient, the suite must FAIL")

@@ -181,39 +181,25 @@ def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fr
     return tuple(report)
 
 
-def eval_s5_polynomial(inv: SurfaceInvariants) -> Fraction:
-    """The published closed polynomial for the fifth Segre number.
+#: The published 5! s_5 as data, not derived from any route: (i, j, r, s), the
+#: exponents of d, pi, kappa and e, -> its nonzero integer coefficient.
+_S5_TIMES_120 = {
+    (5, 0, 0, 0): 1, (4, 0, 0, 0): -100, (3, 1, 0, 0): -50, (3, 0, 1, 0): -10,
+    (3, 0, 0, 1): 10, (3, 0, 0, 0): 3740, (2, 1, 0, 0): 3420, (2, 0, 1, 0): 860,
+    (2, 0, 0, 1): -700, (2, 0, 0, 0): -62000, (1, 2, 0, 0): 375, (1, 1, 1, 0): 150,
+    (1, 1, 0, 1): -150, (1, 1, 0, 0): -75610, (1, 0, 2, 0): 15, (1, 0, 1, 1): -30,
+    (1, 0, 1, 0): -24340, (1, 0, 0, 2): 15, (1, 0, 0, 1): 15960, (1, 0, 0, 0): 384384,
+    (0, 2, 0, 0): -9600, (0, 1, 1, 0): -4720, (0, 1, 0, 1): 3920, (0, 1, 0, 0): 530880,
+    (0, 0, 2, 0): -560, (0, 0, 1, 1): 960, (0, 0, 1, 0): 226560, (0, 0, 0, 2): -400,
+    (0, 0, 0, 1): -117120,
+}
 
-    Evaluates the degree-5 integer polynomial giving 5! * s_5 in terms
-    of (d, pi, kappa, e) and divides by 5!.
+
+def eval_s5_polynomial(inv: SurfaceInvariants) -> Fraction:
+    """The published closed polynomial for the fifth Segre number: `_S5_TIMES_120` over 5!.
+
+    From Marian, Oprea and Pandharipande, "Segre classes and Hilbert schemes of points" (2015).
     """
-    d, p, q, e = inv.d, inv.pi, inv.kappa, inv.e
-    value = (
-        d**5
-        - 100 * d**4
-        + d**3 * (3740 + 10 * e - 50 * p - 10 * q)
-        - d**2 * (62000 - 3420 * p + 700 * e - 860 * q)
-        + d
-        * (
-            384384
-            + 15 * e**2
-            + 15960 * e
-            - 30 * e * q
-            - 150 * p * e
-            + 15 * q**2
-            + 150 * q * p
-            - 75610 * p
-            - 24340 * q
-            + 375 * p**2
-        )
-        - 400 * e**2
-        - 117120 * e
-        + 3920 * p * e
-        + 960 * q * e
-        + 226560 * q
-        - 4720 * q * p
-        - 560 * q**2
-        + 530880 * p
-        - 9600 * p**2
-    )
-    return Fraction(value, 120)
+    d, p, q, e = inv.as_tuple()
+    terms = (c * d**i * p**j * q**r * e**s for (i, j, r, s), c in _S5_TIMES_120.items())
+    return Fraction(sum(terms), 120)

@@ -32,6 +32,10 @@ closed form with powers and products, and w(z) by Lagrange reversion,
 where `lehn` solves the cubic in y = w - w^2 by undetermined integer
 coefficients.  `LEHN_P` and `LEHN_Q` are the substitution's polynomials
 in w itself, for z(w) = w P / Q by long division.
+
+`published_s5_times_120` is the printed form of the published 5! s_5
+(Marian, Oprea and Pandharipande, "Segre classes and Hilbert schemes of
+points", 2015), nested as printed, where `lehn` keeps its monomial table.
 """
 
 from __future__ import annotations
@@ -242,3 +246,35 @@ def finite_differences(values: list[Fraction], times: int) -> list[Fraction]:
     for _ in range(times):
         out = [b - a for a, b in zip(out, out[1:])]
     return out
+
+
+def published_s5_times_120(d: int, p: int, q: int, e: int) -> int:
+    """5! s_5 at (d, pi, kappa, e) = (d, p, q, e), as the published polynomial is printed."""
+    return (
+        d**5
+        - 100 * d**4
+        + d**3 * (3740 + 10 * e - 50 * p - 10 * q)
+        - d**2 * (62000 - 3420 * p + 700 * e - 860 * q)
+        + d
+        * (
+            384384
+            + 15 * e**2
+            + 15960 * e
+            - 30 * e * q
+            - 150 * p * e
+            + 15 * q**2
+            + 150 * q * p
+            - 75610 * p
+            - 24340 * q
+            + 375 * p**2
+        )
+        - 400 * e**2
+        - 117120 * e
+        + 3920 * p * e
+        + 960 * q * e
+        + 226560 * q
+        - 4720 * q * p
+        - 560 * q**2
+        + 530880 * p
+        - 9600 * p**2
+    )

@@ -10,7 +10,6 @@ must make a named registry check FAIL.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -194,24 +193,19 @@ def test_s5_polynomial_catches_a_shifted_polynomial(monkeypatch):
 
 
 def test_s5_polynomial_catches_every_fault_that_vanishes_at_the_targets(monkeypatch):
-    # (kappa + 1) m / 120 is zero at both targets (kappa = -1) for each monomial m
-    # of degree <= 4, so only the simplex can see it; on the simplex kappa + 1 > 0,
-    # so the tuples that differ are those where m is nonzero
-    polynomial, U = lehn.eval_s5_polynomial, universal_series_set(5)
+    # (kappa + 1) m / 120 is zero at both targets (kappa = -1) for each monomial m of
+    # degree <= 4, so only the monomial comparison can see it: it adds 1 to the x 120
+    # table at m and at m + e_kappa, the larger of the two in descending order
+    table, U = lehn._S5_TIMES_120, universal_series_set(5)
     monomials = [m for m in itertools.product(range(5), repeat=4) if sum(m) <= 4]
     assert len(monomials) == 70
     for m in monomials:
-
-        def shifted(inv, m=m):
-            x = inv.as_tuple()
-            return polynomial(inv) + Fraction((inv.kappa + 1) * math.prod(map(pow, x, m)), 120)
-
-        monkeypatch.setattr(lehn, "eval_s5_polynomial", shifted)
-        support = tuple(int(a > 0) for a in m)
-        differing = sum(all(xi >= si for xi, si in zip(x, support)) for x in checks._S5_SIMPLEX)
+        m_kappa = (m[0], m[1], m[2] + 1, m[3])
+        faulty = {**table, m: table.get(m, 0) + 1, m_kappa: table.get(m_kappa, 0) + 1}
+        monkeypatch.setattr(lehn, "_S5_TIMES_120", faulty)
         counterexample = _single_failure(checks.s5_polynomial, U, 5, 2)
-        assert counterexample.startswith(f"(d,pi,kappa,e)=({','.join(map(str, support))}): "), m
-        assert counterexample.endswith(f"; {differing} of 126 simplex tuples differ"), m
+        assert counterexample.startswith(f"(d,pi,kappa,e)^({','.join(map(str, m_kappa))}): published "), m
+        assert counterexample.endswith(f"; 2 of {len(faulty)} monomials differ"), m
 
 
 def test_degenerate_family_catches_the_d2_fault():

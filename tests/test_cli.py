@@ -237,7 +237,7 @@ SMALL_FAULT_REPORT = (
     "b-vs-bprime: PASS\n"
     "engine-vs-lehn-grid: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,0), k=2: engine 1/2 vs lehn -1/2)\n"
     "lehn-vanishing k=2: 0, 0 PASS\n"
-    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,1): polynomial 912 vs engine 2716/3; 69 of 126 simplex tuples differ)\n"
+    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)^(3,0,1,0): published -1/12 vs engine 1/12; 9 of 29 monomials differ)\n"
     "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
     "verify: 5/8 checks passed\n"
 )
@@ -274,7 +274,7 @@ DEFAULT_FAULT_REPORT = (
     "lehn-vanishing k=6: 0, 0 PASS\n"
     "lehn-vanishing k=7: 0, 0 PASS\n"
     "lehn-vanishing k=8: 0, 0 PASS\n"
-    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)=(0,0,1,1): polynomial 912 vs engine 2716/3; 69 of 126 simplex tuples differ)\n"
+    "s5-polynomial: FAIL (first counterexample: (d,pi,kappa,e)^(3,0,1,0): published -1/12 vs engine 1/12; 9 of 29 monomials differ)\n"
     "degenerate-family: FAIL (first counterexample: engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1)\n"
     "verify: 11/14 checks passed\n"
 )
@@ -376,9 +376,10 @@ def test_orders_above_the_maximum_are_refused(capsys, monkeypatch, argv, option)
     captured = capsys.readouterr()
     assert excinfo.value.code == 2
     assert captured.out == ""
+    low = 2 if option == "--max-k" else 0
     assert captured.err.splitlines()[-1] == (
         f"hilbsegre {argv[0]}: error: argument {option}: "
-        f"must be from 0 to {MAX_ORDER}, got {MAX_ORDER + 1}"
+        f"must be from {low} to {MAX_ORDER}, got {MAX_ORDER + 1}"
     )
     with pytest.raises(_WorkStarted):
         main([*argv, str(MAX_ORDER)])
@@ -447,11 +448,19 @@ def test_module_entry_point():
     assert list(csv.DictReader(io.StringIO(result.stdout)))[0]["value"] == "-8"
 
 
-def test_verify_max_k_guard(capsys):
-    code = main(["verify", "--max-k", "1"])
+def test_verify_max_k_guard(capsys, monkeypatch):
+    # argparse refuses a max-k below 2 as it refuses one above MAX_ORDER, before any work
+    monkeypatch.setattr(cli, "universal_series_set", _no_work)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "--max-k", "1"])
     captured = capsys.readouterr()
-    assert code == 2
-    assert "at least 2" in captured.err
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"hilbsegre verify: error: argument --max-k: must be from 2 to {MAX_ORDER}, got 1"
+    )
+    with pytest.raises(_WorkStarted):
+        main(["verify", "--max-k", "2"])
 
 
 

@@ -7,6 +7,7 @@ coefficients C_2 = -5/2 and D_2 = -1/2 of the extracted series.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 from math import factorial
@@ -36,7 +37,7 @@ from hilbsegre import (
 )
 from hilbsegre.cli import MAX_ORDER
 from hilbsegre.series import _grown_by_prefix
-from tests._oracles import LEHN_P, LEHN_Q, fraction_div, reverted_substitution
+from tests._oracles import LEHN_P, LEHN_Q, fraction_div, published_s5_times_120, reverted_substitution
 
 U8 = universal_series_set(8)
 
@@ -371,6 +372,19 @@ def test_vanishing_needs_k_at_least_2():
 def test_s5_zero_at_both_targets():
     assert eval_s5_polynomial(SurfaceInvariants(28, 4, -1, 25)) == 0
     assert eval_s5_polynomial(SurfaceInvariants(29, 5, -1, 25)) == 0
+
+
+def test_s5_table_is_the_printed_polynomial():
+    # both sides have total degree 5 in (d, pi, kappa, e); Newton's forward-difference
+    # formula p(x) = sum_{|alpha| <= 5} Delta^alpha p(0) prod_i C(x_i, alpha_i) reads such a
+    # polynomial from its values on the simplex x >= 0, sum x <= 5, so agreement on its
+    # 126 points is agreement everywhere; seeded tuples in [-40, 40] add negative entries
+    simplex = [x for x in itertools.product(range(6), repeat=4) if sum(x) <= 5]
+    assert len(simplex) == 126
+    rng = random.Random(120)
+    seeded = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(200)]
+    for x in simplex + seeded:
+        assert eval_s5_polynomial(SurfaceInvariants(*x)) == F(published_s5_times_120(*x), 120), x
 
 
 def test_s5_zero_at_origin():

@@ -410,9 +410,14 @@ def _evaluated(P, x):
     return sum(c * math.prod(map(pow, x, m)) for m, c in P.items())
 
 
-@pytest.mark.parametrize("U", [U8, _faulted_set()], ids=["solved", "inject-fault"])
-def test_segre_polynomial_equals_the_engine(U):
-    # the zero tuple, the four unit tuples and seeded tuples in [-40, 40]^4
+@pytest.mark.parametrize(
+    ("U", "route"),
+    [(U8, "engine"), (_faulted_set(), "engine"), (extract_lehn_universal(8), "lehn")],
+    ids=["solved", "inject-fault", "lehn"],
+)
+def test_segre_polynomial_equals_the_engine(U, route):
+    # the zero tuple, the four unit tuples and seeded tuples in [-40, 40]^4; the Lehn
+    # route's set takes its logs by `.log()`, and its P_k is the solved set's
     rng = random.Random(2015)
     tuples = [(0, 0, 0, 0), *(x.as_tuple() for x in UNIT_TUPLES.values())]
     tuples += [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(12)]
@@ -420,7 +425,11 @@ def test_segre_polynomial_equals_the_engine(U):
         P = segre_polynomial(k, U)
         assert all(c != 0 for c in P.values()), k
         for x in tuples:
-            assert _evaluated(P, x) == segre_number(SurfaceInvariants(*x), k, U), (k, x)
+            inv = SurfaceInvariants(*x)
+            value = lehn.lehn_series(inv, k)[k] if route == "lehn" else segre_number(inv, k, U)
+            assert _evaluated(P, x) == value, (k, x)
+        if route == "lehn":
+            assert P == segre_polynomial(k, U8), k
 
 
 @pytest.mark.parametrize("U", [U8, _faulted_set()], ids=["solved", "inject-fault"])
@@ -440,6 +449,24 @@ def test_segre_polynomial_of_a_solved_set_has_denominators_dividing_k_factorial(
         (0, 0, 1, 0): F(-1, 2), (0, 0, 0, 1): F(1, 2),
     }
     assert segre_polynomial(0, U8) == {(0, 0, 0, 0): F(1)}
+
+
+def test_segre_polynomial_is_integral_on_the_lattice():
+    # on L = {d = pi mod 2, kappa + e = 0 mod 12}, where every surface's tuple lies,
+    # P_k takes integer values; seeded tuples of L with entries in [-30, 30]
+    rng = random.Random(12)
+    tuples = []
+    for _ in range(40):
+        d, kappa = rng.randint(-30, 30), rng.randint(-30, 30)
+        pi = rng.choice(range(-30 + (d % 2), 31, 2))
+        e = rng.choice(range(-30 + (30 - kappa) % 12, 31, 12))
+        assert (d - pi) % 2 == (kappa + e) % 12 == 0
+        tuples.append((d, pi, kappa, e))
+    for k in range(9):
+        P = segre_polynomial(k, U8)
+        for x in tuples:
+            assert _evaluated(P, x).denominator == 1, (k, x)
+    assert _evaluated(segre_polynomial(2, U8), (0, 0, 0, 1)) == F(1, 2)  # off L
 
 
 def test_a_series_past_the_int_digit_limit_prints_exactly():
