@@ -32,8 +32,8 @@ The n l_n are integers, and so is 12 (a, b, -c) at each of
 `UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
 engine's are.  One cache holds nine series, z(w), w(z), the three logs
 and the four unit series, built at the largest order requested so far;
-a lower order reads their truncations, except in `lehn_series`, whose
-exp reads the logs of the largest build no further than it needs.
+a lower order reads that build, and each reader truncates only what it
+hands out (`lehn_series`, whose exp reads no further than z^N, nothing).
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
 coefficient by coefficient in the verification suite.
@@ -87,7 +87,7 @@ def change_of_variable(
     """The substitution z(w) expanded to order N, and its inverse w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
-    return _substitution(N)[:2]
+    return tuple(part.truncate(N) for part in _substitution(N)[:2])
 
 
 #: The cubic y (1 - 4y)^2 = z (1 - 6y)^3 that w P(w) = z Q(w) becomes at
@@ -148,7 +148,7 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     if N < 0:
         raise ValueError("order must be non-negative")
     exps = lehn_exponents(inv)  # the kernel reads the logs to z^N: no truncation
-    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution.largest(N)[2:5]), N)
+    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:5]), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:
@@ -160,7 +160,8 @@ def extract_lehn_universal(N: int) -> UniversalSeriesSet:
     """
     if N < 0:
         raise ValueError("order must be non-negative")
-    return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, _substitution(N)[5:])))
+    units = (unit.truncate(N) for unit in _substitution(N)[5:])
+    return UniversalSeriesSet(**dict(zip(UNIT_TUPLES, units)))
 
 
 def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fraction], ...]:
@@ -172,7 +173,7 @@ def verify_lehn_vanishings(max_k: int) -> tuple[tuple[int, SurfaceInvariants, Fr
     """
     if max_k < 2:
         raise ValueError("max_k must be at least 2")
-    _substitution.largest(max_k)  # one build; every lower order reads its prefix
+    _substitution(max_k)  # one build; every lower order reads its prefix
     report = []
     for k in range(2, max_k + 1):
         for target in blowup_targets(k):

@@ -18,12 +18,12 @@ Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
 enough to expand algebraic generating functions exactly.  A power
 f^(p/q) hands the log numerators m_j of j L_j = m_j / D^j to the exp
-kernel as the graded weights p q^(j-1) m_j; division multiplies by the
-inverse power of the divisor; composition is Horner's rule on integer
-numerators.  The two cold builds, the engine's vanishing solve and the
-Lehn substitution, keep their logs as the integers j log_j and run the
-kernels `_log_numerators` and `_exp_numerators` (step `_exp_step`)
-directly, and cache series; `_exp_series`, the one way from exp
+kernel as the graded weights p q^(j-1) m_j, once an integer power has
+shifted out the leading term; f / g is f g^(-1); composition is Horner's
+rule on integer numerators.  The two cold builds, the engine's vanishing
+solve and the Lehn substitution, keep their logs as the integers j log_j,
+run `_log_numerators` and `_exp_numerators` (step `_exp_step`) directly,
+and are cached by `_grown_by_prefix`; `_exp_series`, the one way from exp
 numerators to a series, serves them and `exp`.  Up to order K the exp
 kernel scales E_n by exactly K! den^n for the den it is given: one
 integer dot product and one exact division per coefficient.  `exp`
@@ -179,10 +179,7 @@ class TruncatedPowerSeries:
         if order == self.order:
             return self
         nums, den = self._ints
-        prefix = TruncatedPowerSeries._canonical(nums[: order + 1], den)
-        if self._fractions is not None:  # a cached build read at a lower order reads no new Fraction
-            object.__setattr__(prefix, "_fractions", self._fractions[: order + 1])
-        return prefix
+        return TruncatedPowerSeries._canonical(nums[: order + 1], den)
 
     # -- equality and display -------------------------------------------
 
@@ -246,13 +243,11 @@ class TruncatedPowerSeries:
         return self.__mul__(other)
 
     def __truediv__(self, other) -> "TruncatedPowerSeries":
-        """f / g = f (g / g0)^(-1) / g0: one integer `pow` and one product."""
+        """f / g = f g^(-1): one integer `pow` and one product."""
         if isinstance(other, TruncatedPowerSeries):
-            g, g_den = other._ints
-            if g[0] == 0:
+            if other._ints[0][0] == 0:
                 raise ValueError("non-unit divisor")
-            unit = TruncatedPowerSeries._canonical(g[: min(self.order, other.order) + 1], g[0])
-            return self * unit.pow(-1) * Fraction(g_den, g[0])
+            return self * other.truncate(min(self.order, other.order)).pow(-1)
         return self * (1 / as_rational(other))
 
     def __rtruediv__(self, other) -> "TruncatedPowerSeries":
@@ -285,10 +280,10 @@ class TruncatedPowerSeries:
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
         """Raise to a rational power alpha = p/q as exp(alpha log f), on integers.
 
-        Non-negative integer exponents work for any base: the valuation
-        v and the leading coefficient f_v are shifted out first, so
-        f^n = z^(n v) f_v^n u^n with u = z^(-v) f / f_v a unit.  Other
-        exponents require the constant term to be exactly 1, and u = f.
+        An integer exponent n shifts out the valuation v and the leading
+        coefficient f_v, f^n = z^(n v) f_v^n u^n with u = z^(-v) f / f_v
+        a unit: n >= 0 takes any base, n < 0 any unit, and f / g = f g^(-1).
+        Other exponents require the constant term to be exactly 1, and u = f.
         With u = F / F_0 for integers F, `_log_numerators` gives
         n L_n = m_n / F_0^n, and the exp kernel, handed the graded
         weights p q^(j-1) m_j, gives u^alpha as E_n = h_n / (K! (q F_0)^n):
@@ -297,15 +292,18 @@ class TruncatedPowerSeries:
         alpha = as_rational(exponent)
         p, q = alpha.numerator, alpha.denominator
         (F, den), lead, shift = self._ints, (1, 1), 0
-        if q == 1 and p >= 0:
+        if q == 1:
             if p == 0:
                 return TruncatedPowerSeries.one(self.order)
             v = next((i for i, c in enumerate(F) if c), None)
+            if p < 0 and v != 0:
+                raise ValueError("negative power of a series with zero constant term")
             if v is None or p * v > self.order:
                 return TruncatedPowerSeries.zero(self.order)
-            F, lead, shift = F[v : v + self.order - p * v + 1], (F[v] ** p, den**p), p * v
+            F, shift = F[v : v + self.order - p * v + 1], p * v
+            lead = (F[0] ** p, den**p) if p > 0 else (den**-p, F[0] ** -p)  # f_v^p
         elif F[0] != den:
-            raise ValueError("rational power of non-unit series")
+            raise ValueError("fractional power of a series whose constant term is not 1")
         h = _exp_numerators([p * x for x in _log_numerators(F, F[0])], q)
         scale, den = lead[1] * h[0], q * F[0]  # u^alpha has E_n = h_n / (K! den^n)
         return _reduced([(0, 1)] * shift + [(lead[0] * x, scale * den**n) for n, x in enumerate(h)])
@@ -443,20 +441,16 @@ def _grown_by_prefix(build):
     """Cache a build of series at the largest order requested so far.
 
     The cached series are prefix-stable: their coefficients up to z^N
-    do not change when N grows, so a request at a smaller order reads
-    the truncations of the largest build; `.largest(N)` serves that
-    build itself, grown to order N at least, to a reader of z^0 .. z^N.
+    do not change when N grows, so a request at order N returns the
+    largest build, of order N at least, and its reader truncates what it
+    hands out to order N.
     """
     largest = [(-1, ())]  # one (order, parts) pair, replaced whole
 
+    @wraps(build)
     def grown(N: int) -> tuple[TruncatedPowerSeries, ...]:
         if N > largest[0][0]:
             largest[0] = N, build(N)
         return largest[0][1]
 
-    @wraps(build)
-    def cached(N: int) -> tuple[TruncatedPowerSeries, ...]:
-        return tuple(part.truncate(N) for part in grown(N))
-
-    cached.largest = grown
-    return cached
+    return grown

@@ -37,9 +37,9 @@ division, which raises if j log_j is not an integer.  The same
 build exponentiates the rows through `series._exp_series`, and its
 eight series, the four logs and A, C, D, B, are kept at the largest
 order requested so far: `universal_series_set(N)` and its views read
-them with no exp.  The solve and its log layout are private to this
-module: other modules read the engine through `universal_series_set`
-and `segre_series`.
+that build with no exp and truncate the eight to order N.  The solve
+and its log layout are private to this module: other modules read the
+engine through `universal_series_set` and `segre_series`.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def universal_series_set(N: int) -> UniversalSeriesSet:
     """The series set at truncation order N, read with its logs from the solve's cache."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    parts = _universal_logs(N)
+    parts = tuple(part.truncate(N) for part in _universal_logs(N))
     U = UniversalSeriesSet(**dict(zip(UNIT_TUPLES, parts[4:])))
     vars(U)["_logs"] = parts[:4]
     return U

@@ -90,8 +90,9 @@ def fraction_pow(f: TruncatedPowerSeries, exponent) -> TruncatedPowerSeries:
 
     The recurrence comes from f g' = alpha f' g (Knuth, TAOCP vol. 2,
     4.7).  A non-negative integer power takes any base: the valuation v
-    is shifted out first, f^n = z^(n v) h^n with h0 != 0.  Any other
-    exponent needs f0 = 1.
+    is shifted out first, f^n = z^(n v) h^n with h0 != 0.  A negative
+    integer power takes any unit, g0 = f0^n.  Any other exponent needs
+    f0 = 1.
     """
     alpha = Fraction(exponent)
     coeffs = f.coefficients
@@ -105,8 +106,10 @@ def fraction_pow(f: TruncatedPowerSeries, exponent) -> TruncatedPowerSeries:
             return TruncatedPowerSeries.zero(f.order)
         shift, coeffs = n * v, coeffs[v:]
         g = [coeffs[0] ** n]
+    elif alpha.denominator == 1 and coeffs[0] != 0:
+        g = [coeffs[0] ** alpha.numerator]
     elif coeffs[0] != 1:
-        raise ValueError("rational power of non-unit series")
+        raise ValueError("negative power of a non-unit, or fractional power with f0 != 1")
     else:
         g = [Fraction(1)]
     p, q = alpha.numerator, alpha.denominator  # integer weights q((alpha + 1) k - n)

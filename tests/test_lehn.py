@@ -142,9 +142,10 @@ def test_lower_order_reads_prefix_of_larger_build():
 
     _substitution(12)
     _universal_logs(12)
-    assert _universal_logs(6) == _universal_logs.__wrapped__(6)
+    assert _universal_logs(6) is _universal_logs(12) and _substitution(6) is _substitution(12)
+    assert tuple(part.truncate(6) for part in _universal_logs(6)) == _universal_logs.__wrapped__(6)
     fresh = _substitution.__wrapped__(6)
-    assert _substitution(6) == fresh
+    assert tuple(part.truncate(6) for part in _substitution(6)) == fresh
     zw, wz = change_of_variable(6)
     assert (zw.order, wz.order) == (6, 6)
     assert (zw, wz) == fresh[:2]
@@ -153,6 +154,29 @@ def test_lower_order_reads_prefix_of_larger_build():
     assert fresh[2:5] == fresh_logs
     fresh_units = dict(zip(universal.UNIT_TUPLES, fresh[5:]))
     assert extract_lehn_universal(6) == UniversalSeriesSet(**fresh_units)
+
+
+def test_public_readers_hand_out_order_n_from_one_larger_build(monkeypatch):
+    # each cache built once at order 12, then read at lower orders: the readers
+    # truncate what they hand out, and every part has exactly the order asked for
+    builds = []
+
+    def counted(build):
+        def counting(N):
+            builds.append((build.__name__, N))
+            return build(N)
+
+        return _grown_by_prefix(counting)
+
+    monkeypatch.setattr(universal, "_universal_logs", counted(universal._universal_logs.__wrapped__))
+    monkeypatch.setattr(lehn, "_substitution", counted(lehn._substitution.__wrapped__))
+    universal.universal_series_set(12)
+    change_of_variable(12)
+    for N in (12, 6, 1):
+        U, cov, L = universal.universal_series_set(N), change_of_variable(N), extract_lehn_universal(N)
+        parts = (U.A, U.B, U.C, U.D, *U._logs, *cov, L.A, L.B, L.C, L.D)
+        assert [part.order for part in parts] == [N] * len(parts)
+    assert builds == [("_universal_logs", 12), ("_substitution", 12)]
 
 
 def test_lehn_series_below_the_cached_order_truncates_nothing(monkeypatch):
@@ -190,7 +214,7 @@ def test_lehn_route_reads_no_engine(monkeypatch):
         return [getattr(extract_lehn_universal(6), n).coefficients for n in "ABCD"]
 
     expected = (
-        lehn._substitution(8),
+        tuple(part.truncate(8) for part in lehn._substitution(8)),
         lehn_series(inv, 8).coefficients,
         verify_lehn_vanishings(6),
         extracted(),

@@ -245,10 +245,19 @@ def test_pow_matches_repeated_products():
 
 
 def test_pow_non_unit_rejections():
-    with pytest.raises(ValueError, match="rational power of non-unit series"):
-        Z6.pow(F(1, 2))
-    with pytest.raises(ValueError, match="rational power of non-unit series"):
-        series(2, 1, order=3).pow(-1)
+    # each refusal names the rule that failed
+    for base in (Z6, series(2, 1, order=3), series(-1, 1, order=3)):
+        with pytest.raises(ValueError, match="fractional power of a series whose constant term is not 1"):
+            base.pow(F(1, 2))
+    for base in (Z6, TPS.zero(3)):
+        with pytest.raises(ValueError, match="negative power of a series with zero constant term"):
+            base.pow(-1)
+    with pytest.raises(ValueError, match="non-unit divisor"):
+        1 / Z6
+    # negative integer powers accept any unit, and division is the power -1
+    unit = series(2, 1, order=3)
+    assert unit.pow(-1) == 1 / unit == fraction_div(TPS.one(3), unit)
+    assert (-1 + Z6) ** -3 == -fraction_pow(1 - Z6, -3)
     # non-negative integer powers accept any base
     assert Z6.pow(2).coefficients == (F(0), F(0), F(1), F(0), F(0), F(0), F(0))
 
@@ -627,6 +636,17 @@ def test_prop_integer_pow_matches_fraction_reference(valuation, lead, tail, n):
 
 
 @settings(max_examples=60)
+@given(wide_fractions.filter(bool), wide_tails, st.integers(-4, 4), wide_fractions, wide_tails)
+def test_prop_integer_pow_of_any_unit_matches_fraction_reference(lead, tail, n, g0, g_tail):
+    # any nonzero constant term, negative and other than 1 included; g has its
+    # own order, so the division identities mix orders
+    f, g = TPS([lead] + tail), TPS([g0] + g_tail)
+    _assert_canonical_and_equal(f.pow(n), fraction_pow(f, n).coefficients)
+    assert g / f == g * f.pow(-1)
+    assert g0 / f == f.pow(-1) * g0
+
+
+@settings(max_examples=60)
 @given(wide_tails, wide_tails, wide_fractions, wide_fractions.filter(lambda c: c != 0))
 def test_prop_div_matches_fraction_reference(f_tail, g_tail, f0, g0):
     f, g = TPS([f0] + f_tail), TPS([g0] + g_tail)
@@ -704,14 +724,18 @@ def test_prop_every_operation_returns_canonical_integers(f_tail, g_tail, f0, g0,
 @pytest.mark.parametrize("cache", [universal._universal_logs, lehn._substitution], ids=["engine", "lehn"])
 def test_every_part_of_both_caches_is_a_series_with_canonical_integers(cache):
     # an empty cache grown through each order, every one a fresh build, then
-    # read again at each order, every one a truncation of the largest build
+    # read again at each order, every one the largest build, whose truncations
+    # are the fresh builds
     orders = (0, 1, 8, 32)
     grown = _grown_by_prefix(cache.__wrapped__)
-    for _ in range(2):
-        for N in orders:
-            for part in grown(N):
-                assert type(part) is TPS and part.order == N
-                _assert_canonical(part)
+    fresh = {N: grown(N) for N in orders}
+    for N in orders:
+        assert grown(N) is fresh[32]
+        for part, built in zip(grown(N), fresh[N], strict=True):
+            for prefix in (part.truncate(N), built):
+                assert type(prefix) is TPS and prefix.order == N
+                _assert_canonical(prefix)
+            assert part.truncate(N) == built
 
 
 @given(any_series, any_series, st.booleans(), st.booleans(), st.integers(0, 9))
