@@ -60,17 +60,13 @@ def _str(value) -> str:
     return "None" if value is None else series.format_rational(value)
 
 
-_EXPONENT_PAIRS = (
-    (Fraction(1, 2), Fraction(1, 2)),
-    (Fraction(1, 3), Fraction(2, 3)),
-    (Fraction(-1), Fraction(2)),
-    (Fraction(5, 2), Fraction(-3, 2)),
-)
-
-
 @_single("kernel-roundtrips")
 def kernel_roundtrips(U, order: int, max_k: int):
-    """exp/log, pow additivity and reversion on 50 seeded series of orders 2..order."""
+    """Each kernel law as a round trip to its input, on 50 seeded series of orders 2..order.
+
+    exp(log f) = f and f^a f^(1-a) = f for a in {1/2, 1/3, -1, 5/2}, log(exp g) = g, and a
+    series composed with its reversion either way is z.  f^a f^b = f^(a+b) is a property test.
+    """
     Series = series.TruncatedPowerSeries
     rng = random.Random(58123)
     for i in range(50):
@@ -79,10 +75,9 @@ def kernel_roundtrips(U, order: int, max_k: int):
         unit = Series([Fraction(1)] + tail)
         if unit.log().exp() != unit:
             return f"exp(log f) != f for random unit series #{i}"
-        for alpha, beta in _EXPONENT_PAIRS:
-            product = unit.pow(alpha) * unit.pow(beta)
-            if product != unit.pow(alpha + beta):
-                return f"pow additivity failed for series #{i} at ({alpha},{beta})"
+        for alpha in (Fraction(1, 2), Fraction(1, 3), Fraction(-1), Fraction(5, 2)):
+            if unit.pow(alpha) * unit.pow(1 - alpha) != unit:
+                return f"pow additivity failed for series #{i} at ({alpha},{1 - alpha})"
         zero_const = Series([Fraction(0)] + tail)
         if zero_const.exp().log() != zero_const:
             return f"log(exp g) != g for random series #{i}"

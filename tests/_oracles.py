@@ -33,6 +33,9 @@ where `lehn` solves the cubic in y = w - w^2 by undetermined integer
 coefficients.  `LEHN_P` and `LEHN_Q` are the substitution's polynomials
 in w itself, for z(w) = w P / Q by long division.
 
+`lehn_residue` is Lehn's s_k in residue form, one coefficient in w of
+three binomial-type series, where `lehn` exponentiates logs in z.
+
 `published_s5_times_120` is the printed form of the published 5! s_5
 (Marian, Oprea and Pandharipande, "Segre classes and Hilbert schemes of
 points", 2015), nested as printed, where `lehn` keeps its monomial table.
@@ -182,6 +185,38 @@ def reverted_substitution(N: int) -> tuple[tuple[Fraction, ...], ...]:
     wz = zw.revert()
     factors = (1 - wz, 1 - 2 * wz, 1 - 6 * wz + 6 * wz * wz)
     return (zw.coefficients, wz.coefficients, *(f.log().coefficients for f in factors))
+
+
+def residue_coefficient(k: int, e1, e2, e3) -> Fraction:
+    """[w^k] (1 - w)^e1 (1 - 2w)^e2 (1 - 6w + 6w^2)^e3 over Fraction, any rational exponents.
+
+    The two binomial series step by the ratio of consecutive binomial
+    coefficients, [w^(n+1)] (1 - r w)^e = r (n - e) / (n + 1) [w^n], and
+    F = (1 - 6w + 6w^2)^g by (n + 1) F_(n+1) = 6 (n - g) F_n -
+    6 (n - 1 - 2g) F_(n-1), the w^n coefficient of P F' = g P' F.
+    """
+    rows = []
+    for r, e in ((1, e1), (2, e2)):
+        row = [Fraction(1)]
+        for n in range(k):
+            row.append(row[n] * r * (n - e) / (n + 1))
+        rows.append(row)
+    g, F = Fraction(e3), [Fraction(0), Fraction(1)]  # F[n + 1] = F_n, with F_(-1) = 0
+    for n in range(k):
+        F.append((6 * (n - g) * F[n + 1] - 6 * (n - 1 - 2 * g) * F[n]) / (n + 1))
+    u, v = rows
+    return sum(u[i] * v[j] * F[k - i - j + 1] for i in range(k + 1) for j in range(k + 1 - i))
+
+
+def lehn_residue(a, b, c, k: int) -> Fraction:
+    """Lehn's s_k for the exponents a, b, c: [w^k] (1 - w)^(a-k-1) (1 - 2w)^(b-4k-1) P^(3k-c-1).
+
+    P = 1 - 6w + 6w^2.  The z^k coefficient of f is the residue of
+    f z' / z^(k+1) in w, and with z = w Q / P^3, Q = (1 - w)(1 - 2w)^4,
+    z' = (1 - 2w)^3 / P^4 by the identity (1 - w)(1 - 2w)(Q P + w Q' P -
+    3 w P' Q) = Q, so the residue is the w^k coefficient above.
+    """
+    return residue_coefficient(k, a - k - 1, b - 4 * k - 1, 3 * k - c - 1)
 
 
 def undetermined_revert(f: TruncatedPowerSeries) -> TruncatedPowerSeries:

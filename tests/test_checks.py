@@ -56,8 +56,11 @@ def test_kernel_roundtrips_catches_a_perturbed_reversion(monkeypatch):
         ("pow", lambda exponent: exponent == Fraction(1, 2),
          "pow additivity failed for series #0 at (1/2,1/2)"),
         ("log", lambda: True, "exp(log f) != f for random unit series #0"),
+        # every second log: exp(log f) still holds on the unit, log(exp g) does not
+        ("log", lambda calls=itertools.count(1): next(calls) % 2 == 0,
+         "log(exp g) != g for random series #0"),
     ],
-    ids=["pow-at-one-half", "log"],
+    ids=["pow-at-one-half", "log", "log-of-an-exp-output"],
 )
 def test_kernel_roundtrips_catches_a_perturbed_kernel(monkeypatch, name, when, expected):
     method = getattr(TruncatedPowerSeries, name)

@@ -1,4 +1,4 @@
-"""Lehn-route tests: exponents, change of variable, route equivalence.
+"""Lehn-route tests: exponents, change of variable, route equivalence, the residue form.
 
 The substitution prefix w + 9w^2 + 68w^3 + 466w^4 and its reversion
 z - 9z^2 + 94z^3 - 1051z^4 were expanded by hand, as were the k = 2
@@ -37,7 +37,8 @@ from hilbsegre import (
 )
 from hilbsegre.cli import MAX_ORDER
 from hilbsegre.series import _grown_by_prefix
-from tests._oracles import LEHN_P, LEHN_Q, fraction_div, published_s5_times_120, reverted_substitution
+from tests._oracles import LEHN_P, LEHN_Q, fraction_div, lehn_residue, published_s5_times_120
+from tests._oracles import residue_coefficient, reverted_substitution
 
 U8 = universal_series_set(8)
 
@@ -385,9 +386,98 @@ def test_vanishing_report_is_all_zero_to_max_order():
     assert all(c == 0 for _, _, c in report)
 
 
+def test_blowup_vanishing_range_through_both_routes():
+    # The region is derived from Lehn's residue form (ROADMAP item 7), and checked here
+    # through the engine; it is not transcribed from the paper, of which PAPER.md holds
+    # only the abstract.  On the blown-up K3 tuple (2g - 2 - l^2, l, -1, 25) with
+    # g = h + l(l + 1)/2, the residue exponents are (l + 1 - k, 2h + 2 - l - 4k, 3k - h - 2);
+    # where all three are >= 0 the integrand is a polynomial of degree k - 1, so s_k = 0.
+    # That is the triangle k - 1 <= l <= 2k - 2, 2k - 1 + ceil(l/2) <= h <= 3k - 2.  The
+    # engine vanishes there and at six sporadic points, and nowhere else in the scan.
+    def tuple_at(l, h):
+        g = h + l * (l + 1) // 2
+        return SurfaceInvariants(2 * g - 2 - l * l, l, -1, 25)
+
+    grid = [(k, l, h) for k in range(2, 11) for l in range(-2, 2 * k + 2) for h in range(-2, 3 * k + 4)]
+    assert len(grid) == 3816
+    triangle = {
+        (k, l, h)
+        for k in range(2, 11) for l in range(k - 1, 2 * k - 1)
+        for h in range(2 * k - 1 - (-l // 2), 3 * k - 1)
+    }
+    assert len(triangle) == 124
+    non_negative = set()
+    for k, l, h in grid:
+        x = lehn_exponents(tuple_at(l, h))
+        if min(x.a - k - 1, x.b - 4 * k - 1, 3 * k - x.c - 1) >= 0:
+            non_negative.add((k, l, h))
+    assert non_negative == triangle
+    sporadic = {(2, 1, 2), (2, 2, 1), (3, -1, 8), (3, 2, 2), (7, 6, 14), (8, 9, 17)}
+    U = universal_series_set(10)
+    engine = {(l, h): segre_series(tuple_at(l, h), 10, U) for l in range(-2, 22) for h in range(-2, 34)}
+    assert {(k, l, h) for k, l, h in grid if engine[l, h][k] == 0} == triangle | sporadic
+    for k, l, h in sorted(triangle | sporadic):
+        assert lehn_series(tuple_at(l, h), k)[k] == 0, (k, l, h)
+
+
 def test_vanishing_needs_k_at_least_2():
     with pytest.raises(ValueError, match="max_k must be at least 2"):
         verify_lehn_vanishings(1)
+
+
+# -- the residue form ---------------------------------------------------------------------
+
+
+def _poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(*terms):
+    out = [0] * max(map(len, terms))
+    for term in terms:
+        for i, x in enumerate(term):
+            out[i] += x
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def test_residue_form_rests_on_a_polynomial_identity():
+    # z = w Q / P^3 has z' = (1 - 2w)^3 / P^4, which turns f z' / z^(k+1) into three factors
+    Q, P = list(LEHN_P), [1, -6, 6]
+    dQ, dP = ([n * x for n, x in enumerate(f)][1:] for f in (Q, P))
+    bracket = _poly_add(_poly_mul(Q, P), [0, *_poly_mul(dQ, P)], [0, *_poly_mul([-3], _poly_mul(dP, Q))])
+    assert _poly_mul(_poly_mul([1, -1], [1, -2]), bracket) == Q
+    assert bracket == [1, -6, 12, -8]  # (1 - 2w)^3
+
+
+def _residue_tuples():
+    rng = random.Random(1708)
+    return [SurfaceInvariants(*(rng.randint(-20, 20) for _ in range(4))) for _ in range(20)]
+
+
+def test_residue_form_equals_lehn_series():
+    for inv in _residue_tuples():
+        x = lehn_exponents(inv)
+        expected = lehn_series(inv, 12).coefficients[1:]
+        assert [lehn_residue(x.a, x.b, x.c, k) for k in range(1, 13)] == list(expected), inv
+
+
+def test_residue_form_slip_in_the_first_exponent_fails():
+    # a - k for a - k - 1: the comparison above must notice
+    values = differing = 0
+    for inv in _residue_tuples():
+        x = lehn_exponents(inv)
+        series = lehn_series(inv, 12)
+        for k in range(1, 13):
+            values += 1
+            differing += residue_coefficient(k, x.a - k, x.b - 4 * k - 1, 3 * k - x.c - 1) != series[k]
+    assert values == 240
+    assert differing > values // 2
 
 
 # -- the published degree-5 polynomial ---------------------------------------------------------
