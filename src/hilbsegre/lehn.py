@@ -27,12 +27,12 @@ alone, so undetermined coefficients fix y(z) over the integers, with no
 compositional reversion, and w = y + w^2 gives w(z) the same way.
 Every tuple is then log-linear, f = exp(a l1 + b l2 - c l3), where l1,
 l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6y at w = w(z): no powers and
-no composition per tuple.
-The n l_n are integers, and so is 12 (a, b, -c) at each of
-`UNIT_TUPLES`: A, C, D, B are exponentiated from integer logs, as the
-engine's are.  One cache holds nine series, z(w), w(z), the three logs
-and the four unit series, built at the largest order requested so far;
-a lower order reads that build, and each reader truncates only what it
+no composition per tuple.  The n l_n are integers, and so is 12 (a, b,
+-c) at each of `UNIT_TUPLES`: as in the engine, `series._log_series`
+reads the logs from the n l_n, and `series._exp_series` A, C, D, B from
+the logs.  One cache holds nine series, z(w), w(z), the three logs and
+the four unit series, built at the largest order requested so far; a
+lower order reads that build, and each reader truncates only what it
 hands out (`lehn_series`, whose exp reads no further than z^N, nothing).
 This module is a construction of the Segre numbers that is independent
 of the probe-and-solve engine in `universal`; the two are compared
@@ -46,7 +46,7 @@ from fractions import Fraction
 from operator import mul
 
 from .series import TruncatedPowerSeries, _exp_of_combination, _exp_series
-from .series import _grown_by_prefix, _log_numerators
+from .series import _grown_by_prefix, _log_numerators, _log_series
 from .universal import UNIT_TUPLES, SurfaceInvariants, UniversalSeriesSet, blowup_targets
 
 __all__ = [
@@ -137,10 +137,9 @@ def _substitution(N: int) -> tuple[TruncatedPowerSeries, ...]:
         zw.append(x - sum(map(mul, den[1:], reversed(zw))))
     factors = ([1, *(-a * x for x in row[1:])] for a, row in ((1, w), (2, w), (6, y)))
     m = [_log_numerators(f, 1) for f in factors]  # m_n = n l_n
-    logs = (TruncatedPowerSeries([Fraction(x, n or 1) for n, x in enumerate(row)]) for row in m)
     sums = ([sum(map(mul, u, column)) for column in zip(*m)] for u in _UNIT_WEIGHTS.values())
     units = (_exp_series(g, 12) for g in sums)  # g_n = n (u . l)_n
-    return (TruncatedPowerSeries(zw), TruncatedPowerSeries(w), *logs, *units)
+    return (TruncatedPowerSeries(zw), TruncatedPowerSeries(w), *map(_log_series, m), *units)
 
 
 def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:

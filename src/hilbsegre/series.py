@@ -10,7 +10,7 @@ A series is its numerators over one denominator D > 0 with
 gcd(D, *nums) == 1, so equal series hold equal integers, and every
 operation, `==` included, reads and writes those integers alone (Knuth,
 TAOCP vol. 2, 4.7).  The constructor writes the `Fraction`s it is given
-over the lcm of their denominators and keeps them to be read; a result
+over the lcm of their denominators, so every series, built or computed,
 is born as integers and builds its `Fraction`s when a caller first
 reads them.
 
@@ -23,12 +23,12 @@ shifted out the leading term; f / g is f g^(-1); composition is Horner's
 rule on integer numerators.  The two cold builds, the engine's vanishing
 solve and the Lehn substitution, keep their logs as the integers j log_j,
 run `_log_numerators` and `_exp_numerators` (step `_exp_step`) directly,
-and are cached by `_grown_by_prefix`; `_exp_series`, the one way from exp
-numerators to a series, serves them and `exp`.  Up to order K the exp
-kernel scales E_n by exactly K! den^n for the den it is given: one
-integer dot product and one exact division per coefficient.  `exp`
-passes the denominator of j f_j, which for the log of a generic rational
-series grows like lcm(1..N); `pow` passes q D.
+and are cached by `_grown_by_prefix`; `_log_series` and `_exp_series`, the
+one way from log and from exp numerators to a series, serve them, `log`
+and `exp`.  Up to order K the exp kernel scales E_n by exactly K! den^n
+for the den it is given: one integer dot product and one exact division
+per coefficient.  `exp` passes the denominator of j f_j, which for the
+log of a generic rational series grows like lcm(1..N); `pow` passes q D.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class TruncatedPowerSeries:
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         den = lcm(*(c.denominator for c in coeffs))  # so gcd(den, *nums) == 1
-        object.__setattr__(self, "_fractions", tuple(coeffs))
+        object.__setattr__(self, "_fractions", None)
         object.__setattr__(self, "_ints", ([c.numerator * (den // c.denominator) for c in coeffs], den))
 
     @classmethod
@@ -274,8 +274,7 @@ class TruncatedPowerSeries:
         f, den = self._ints
         if f[0] != den:
             raise ValueError("log of non-unit series")
-        m = _log_numerators(f, den)  # n L_n = m_n / den^n
-        return _reduced((x, (n or 1) * den**n) for n, x in enumerate(m))
+        return _log_series(_log_numerators(f, den), den)
 
     def pow(self, exponent: Scalar) -> "TruncatedPowerSeries":
         """Raise to a rational power alpha = p/q as exp(alpha log f), on integers.
@@ -388,6 +387,11 @@ def _log_numerators(f: list[int], den: int) -> list[int]:
     for n in range(1, len(f)):
         m.append(n * g[n] - sum(map(mul, m[1:n], g[n - 1 : 0 : -1])))
     return m
+
+
+def _log_series(m: list[int], den: int = 1) -> TruncatedPowerSeries:
+    """The series L with n L_n = m[n] / den^n, as `_log_numerators` gives it, and L_0 = m[0]."""
+    return _reduced((x, (n or 1) * den**n) for n, x in enumerate(m))
 
 
 def _exp_step(c: list[int], h: list[int]) -> int:

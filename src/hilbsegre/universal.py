@@ -33,13 +33,13 @@ O(z^2).  It runs on the integers j log_j and the exp kernel step of
 `series` (the probe and the twin series over k! at step k, each grown
 while its weights hold, its z^k step corrected in place once the
 unknowns are solved), and solves each 2 x 2 step by one exact integer
-division, which raises if j log_j is not an integer.  The same
-build exponentiates the rows through `series._exp_series`, and its
-eight series, the four logs and A, C, D, B, are kept at the largest
-order requested so far: `universal_series_set(N)` and its views read
-that build with no exp and truncate the eight to order N.  The solve
-and its log layout are private to this module: other modules read the
-engine through `universal_series_set` and `segre_series`.
+division, which raises if j log_j is not an integer.  The rows become
+the four logs and A, C, D, B through `series._log_series` and
+`series._exp_series`, the one way each from log and from exp numerators
+to a series; the eight are kept at the largest order requested so far,
+and `universal_series_set(N)` and its views read them with no exp, cut
+to order N.  The solve and its log layout are private: other modules
+read the engine through `universal_series_set` and `segre_series`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from math import factorial, lcm
 from operator import add, mul
 
 from .series import TruncatedPowerSeries, _exp_of_combination, _exp_numerators, _exp_series
-from .series import _exp_step, _grown_by_prefix
+from .series import _exp_step, _grown_by_prefix, _log_series
 
 __all__ = [
     "SurfaceInvariants",
@@ -118,15 +118,11 @@ class UniversalSeriesSet:
         orders = {s.order for s in (self.A, self.B, self.C, self.D)}
         if len(orders) != 1:
             raise ValueError("A, B, C, D must share one truncation order")
-        for name, series in zip("ABCD", (self.A, self.B, self.C, self.D)):
+        for name, series, linear in zip("ABCD", (self.A, self.B, self.C, self.D), (1, 0, 0, 0)):
             if series[0] != 1:
                 raise ValueError(f"{name} must have constant term 1")
-        if self.order >= 1:
-            for name, series, linear in zip(
-                "ABCD", (self.A, self.B, self.C, self.D), (1, 0, 0, 0)
-            ):
-                if series[1] != linear:
-                    raise ValueError(f"{name} must have linear coefficient {linear}")
+            if self.order >= 1 and series[1] != linear:
+                raise ValueError(f"{name} must have linear coefficient {linear}")
 
     @property
     def order(self) -> int:
@@ -231,8 +227,7 @@ def _universal_logs(N: int) -> tuple[TruncatedPowerSeries, ...]:
         G[0][1] = 1  # log A = z + O(z^2)
     _probe_and_solve(G, (0, 3), _k3_vanishings, N)
     _probe_and_solve(G, (1, 2), _blowup_vanishings, N)
-    logs = tuple(TruncatedPowerSeries([Fraction(x, n or 1) for n, x in enumerate(row)]) for row in G)
-    return logs + tuple(_exp_series(row, 1) for row in G)
+    return (*map(_log_series, G), *(_exp_series(row, 1) for row in G))
 
 
 def determine_AB(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:

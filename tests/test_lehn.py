@@ -1,5 +1,10 @@
 """Lehn-route tests: exponents, change of variable, route equivalence, the residue form.
 
+The residue form also gives the finite steps of the argument that the
+routes agree at every order (README): the residue exponents at the
+engine's targets, the y-form of the closed formula and the engine's
+determinants.
+
 The substitution prefix w + 9w^2 + 68w^3 + 466w^4 and its reversion
 z - 9z^2 + 94z^3 - 1051z^4 were expanded by hand, as were the k = 2
 coefficients C_2 = -5/2 and D_2 = -1/2 of the extracted series.
@@ -7,6 +12,7 @@ coefficients C_2 = -5/2 and D_2 = -1/2 of the extracted series.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -16,6 +22,7 @@ import pytest
 
 import hilbsegre
 from hilbsegre import (
+    UNIT_TUPLES,
     SurfaceInvariants,
     TruncatedPowerSeries,
     UniversalSeriesSet,
@@ -38,7 +45,7 @@ from hilbsegre import (
 from hilbsegre.cli import MAX_ORDER
 from hilbsegre.series import _grown_by_prefix
 from tests._oracles import LEHN_P, LEHN_Q, fraction_div, lehn_residue, published_s5_times_120
-from tests._oracles import residue_coefficient, reverted_substitution
+from tests._oracles import generalized_binomial, residue_coefficient, reverted_substitution
 
 U8 = universal_series_set(8)
 
@@ -420,6 +427,37 @@ def test_blowup_vanishing_range_through_both_routes():
         assert lehn_series(tuple_at(l, h), k)[k] == 0, (k, l, h)
 
 
+def _residue_exponents(inv, k, exponents=lehn_exponents):
+    """The exponents of 1 - w, 1 - 2w and 1 - 6w + 6w^2 in Lehn's s_k in residue form."""
+    x = exponents(inv)
+    return x.a - k - 1, x.b - 4 * k - 1, 3 * k - x.c - 1
+
+
+def test_every_zero_the_degree_criterion_certifies_is_a_zero_of_the_engine():
+    # where the three residue exponents are non-negative integers (so 12 | kappa + e and
+    # d = pi mod 2), the integrand is a polynomial of degree k - 4 + (e - 11 kappa)/12, and
+    # s_k = 0 when e - 11 kappa <= 36; the points of the box are listed from the exponent
+    # inequalities a - k - 1 >= 0, b - 4k - 1 >= 0 and 3k - c - 1 >= 0, not by a scan
+    points = []
+    for kappa, e in itertools.product(range(-2, 3), range(-12, 49)):
+        if (kappa + e) % 12 or e - 11 * kappa > 36:
+            continue
+        chi = (kappa + e) // 12
+        for k in range(1, 13):
+            for pi in range(max(-4, 2 * kappa + k + 1), 13):
+                lo, hi = 2 * pi - kappa - 3 * chi + 4 * k + 1, pi + 2 * (3 * k - 1 - chi)
+                for d in range(max(-6, lo), min(40, hi) + 1):
+                    if (d - pi) % 2 == 0:
+                        points.append((SurfaceInvariants(d, pi, kappa, e), k))
+    assert len(points) == 334
+    U = universal_series_set(12)
+    for inv, k in points:
+        exponents = _residue_exponents(inv, k)
+        assert all(x.denominator == 1 and x >= 0 for x in exponents), (inv, k)
+        assert sum(exponents) + exponents[2] < k, (inv, k)  # the integrand's degree
+        assert segre_series(inv, k, U)[k] == 0, (inv, k)
+
+
 def test_vanishing_needs_k_at_least_2():
     with pytest.raises(ValueError, match="max_k must be at least 2"):
         verify_lehn_vanishings(1)
@@ -478,6 +516,55 @@ def test_residue_form_slip_in_the_first_exponent_fails():
             differing += residue_coefficient(k, x.a - k, x.b - 4 * k - 1, 3 * k - x.c - 1) != series[k]
     assert values == 240
     assert differing > values // 2
+
+
+# -- the finite steps of the all-orders argument (README) ---------------------------------
+
+
+def test_residue_exponents_at_the_engine_targets():
+    # at the blow-up targets the integrand is a polynomial of degree k - 1, so Lehn's s_k is 0;
+    # at the K3 tuple of genus g it is the y-form below, with n = g - 2k + 1
+    for k in range(2, 65):
+        assert [_residue_exponents(t, k) for t in blowup_targets(k)] == [(0, k - 1, 0), (1, k - 2, 0)]
+        for g in range(3 * k + 2):
+            n = g - 2 * k + 1
+            inv = SurfaceInvariants(2 * g - 2, 0, 0, 24)
+            assert _residue_exponents(inv, k) == (-k - 1, 2 * n + 1, k - n - 1), (k, g)
+
+
+def test_residue_exponent_checks_catch_a_wrong_constraint_and_a_wrong_chi():
+    # h = g - l(l + 1)/2 = 3k - 1 in place of 3k - 2 turns the third exponent negative, and
+    # chi = (kappa + e)/11 in lehn_exponents breaks the blow-up exponents at every k
+    def chi_over_11(inv):
+        x = lehn_exponents(inv)
+        slip = F(inv.kappa + inv.e, 11) - x.chi
+        return dataclasses.replace(x, b=x.b + 3 * slip, c=x.c + slip, chi=x.chi + slip)
+
+    for k in range(2, 65):
+        for l in (k - 1, k):
+            g = 3 * k - 1 + l * (l + 1) // 2
+            assert _residue_exponents(SurfaceInvariants(2 * g - 2 - l * l, l, -1, 25), k)[2] == -1
+        patched = [_residue_exponents(t, k, chi_over_11) for t in blowup_targets(k)]
+        assert patched[0] != (0, k - 1, 0) and patched[1] != (1, k - 2, 0)
+
+
+def test_y_form_is_the_closed_formula():
+    # [y^k] (1 - 4y)^n (1 - 6y)^(k - n - 1) = 2^k C(n, k): with t = y/(1 - 6y) it is [t^k] (1 + 2t)^n
+    C = generalized_binomial
+    for k in range(13):
+        for n in range(-15, 16):
+            y_form = sum(C(n, j) * (-4) ** j * C(k - n - 1, k - j) * (-6) ** (k - j) for j in range(k + 1))
+            assert y_form == 2**k * C(n, k), (k, n)
+
+
+def test_engine_steps_have_determinants_48_and_1():
+    # each order's two 2 x 2 systems have one solution, so the seeds and the vanishings fix A..D
+    families = ((universal._k3_vanishings, "AB", 48), (universal._blowup_vanishings, "CD", 1))
+    for vanishings, pair, det in families:
+        i, j = map(list(UNIT_TUPLES).index, pair)
+        for k in range(2, 65):
+            w, v = vanishings(k)
+            assert abs(w[i] * v[j] - w[j] * v[i]) == det, (pair, k)
 
 
 # -- the published degree-5 polynomial ---------------------------------------------------------

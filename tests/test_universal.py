@@ -116,7 +116,7 @@ def test_series_set_validates_normalization():
     good = TruncatedPowerSeries([1, 0, 5], order=2)
     bad_constant = TruncatedPowerSeries([2, 0], order=2)
     with pytest.raises(ValueError, match="constant term 1"):
-        UniversalSeriesSet(good, good, good, bad_constant)
+        UniversalSeriesSet(TruncatedPowerSeries([1, 1, 5], order=2), good, good, bad_constant)
     bad_linear = TruncatedPowerSeries([1, 3], order=2)
     with pytest.raises(ValueError, match="linear coefficient"):
         UniversalSeriesSet(bad_linear, good, good, good)
@@ -467,6 +467,22 @@ def test_segre_polynomial_is_integral_on_the_lattice():
         for x in tuples:
             assert _evaluated(P, x).denominator == 1, (k, x)
     assert _evaluated(segre_polynomial(2, U8), (0, 0, 0, 1)) == F(1, 2)  # off L
+
+
+def test_the_lattice_basis_series_are_integral_through_both_routes():
+    # L has the basis (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 11), (0, 0, 0, 12), so s_k is an
+    # integer on all of L for k <= N iff A^2, A C, D B^11 and B^12 are integral to order N;
+    # the series are products, not powers, and A, B, C alone are not integral
+    def first_fraction(f):
+        return next((n for n, c in enumerate(f) if c.denominator != 1), None)
+
+    for U in (extract_lehn_universal(32), universal_series_set(32)):
+        B11 = math.prod([U.B] * 11)
+        assert [first_fraction(f) for f in (U.A * U.A, U.A * U.C, U.D * B11, U.B * B11)] == [None] * 4
+        assert [first_fraction(f) for f in (U.A, U.B, U.C)] == [2, 2, 2]
+    z = TruncatedPowerSeries.identity(32)  # U is the engine's set: the --inject-fault fault, D_2 + 1
+    assert first_fraction((U.D + z**2) * B11) == 4
+    assert first_fraction((U.D + z**3) * B11) == 5
 
 
 def test_a_series_past_the_int_digit_limit_prints_exactly():
