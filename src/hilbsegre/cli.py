@@ -109,9 +109,7 @@ def cmd_series(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     U = universal_series_set(max(args.max_order, 5))
     if args.inject_fault:
-        coefficients = list(U.D.coefficients)
-        coefficients[2] += 1
-        U = replace(U, D=TruncatedPowerSeries(coefficients))
+        U = replace(U, D=U.D + TruncatedPowerSeries([0, 0, 1], order=U.order))
     outcomes = [outcome for check in REGISTRY for outcome in check(U, args.max_order, args.max_k)]
     passed = sum(outcome.ok for outcome in outcomes)
     lines = [outcome.line() for outcome in outcomes]

@@ -10,9 +10,9 @@ A series is its numerators over one denominator D > 0 with
 gcd(D, *nums) == 1, so equal series hold equal integers, and every
 operation, `==` included, reads and writes those integers alone (Knuth,
 TAOCP vol. 2, 4.7).  The constructor writes the `Fraction`s it is given
-over the lcm of their denominators, so every series, built or computed,
-is born as integers and builds its `Fraction`s when a caller first
-reads them.
+over the lcm of their denominators, so every series is born as integers;
+`series[k]` builds one `Fraction`, and `.coefficients`, iteration and
+printing build and cache the tuple of them all.
 
 Beyond the ring operations the module provides exp, log, rational
 powers, composition and compositional reversion, which together are
@@ -163,9 +163,10 @@ class TruncatedPowerSeries:
         return len(self._ints[0]) - 1
 
     def __getitem__(self, k: int) -> Fraction:
-        if not 0 <= k <= self.order:
+        nums, den = self._ints
+        if not 0 <= k < len(nums):
             raise IndexError(f"coefficient index {k} outside order {self.order}")
-        return self.coefficients[k]
+        return Fraction(nums[k], den)
 
     def __iter__(self) -> Iterator[Fraction]:
         return iter(self.coefficients)

@@ -213,9 +213,7 @@ def test_s5_polynomial_catches_every_fault_that_vanishes_at_the_targets(monkeypa
 
 def test_degenerate_family_catches_the_d2_fault():
     U = universal_series_set(5)
-    coefficients = list(U.D.coefficients)
-    coefficients[2] += 1
-    faulty = replace(U, D=TruncatedPowerSeries(coefficients))
+    faulty = replace(U, D=U.D + TruncatedPowerSeries([0, 0, 1], order=U.order))
     counterexample = _single_failure(checks.degenerate_family, faulty, 4, 2)
     assert counterexample == "engine nonzero at (d,pi,kappa,e)=(0,2,1,11), k=2: 1"
 

@@ -77,9 +77,7 @@ def test_changed_series_are_not_served_cached_logs():
     U = universal_series_set(8)
     inv = SurfaceInvariants(3, 1, 2, 5)
     before = segre_series(inv, 2, U)[2]  # fills U's log cache
-    coefficients = list(U.D.coefficients)
-    coefficients[2] += 1
-    bumped = TruncatedPowerSeries(coefficients)
+    bumped = U.D + TruncatedPowerSeries([0, 0, 1], order=U.order)
     # D_1 = 0, so log D gains exactly 1 at z^2 and s_2 moves by kappa
     for changed in (
         dataclasses.replace(U, D=bumped),

@@ -757,6 +757,7 @@ def test_integer_born_series_read_like_fraction_born_ones():
     born = f * 1
     assert born == f and born._fractions is None  # no Fraction built yet
     assert born[0] == F(-3, 4) and born[3] == F(5, 6)
+    assert born._fractions is None  # a coefficient read caches no tuple
     assert (str(born), repr(born), list(born)) == (str(f), repr(f), list(f))
     assert born.coefficients is born.coefficients  # built once, then cached
     assert born.order == f.order == 3
@@ -764,9 +765,8 @@ def test_integer_born_series_read_like_fraction_born_ones():
         born[4]
 
 
-def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
-    # unit^a * unit^b == unit^(a+b) runs on the integers alone: the number of
-    # Fractions built (spied on through the module's name) does not grow with the order
+def _fractions_built(monkeypatch):
+    """The argument tuples of every `Fraction` the series module builds from now on."""
     built = []
 
     class Spy(type):
@@ -778,6 +778,13 @@ def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
             return F(*args)
 
     monkeypatch.setattr(hilbsegre.series, "Fraction", Spy("Fraction", (), {}))
+    return built
+
+
+def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
+    # unit^a * unit^b == unit^(a+b) runs on the integers alone: the number of
+    # Fractions built (spied on through the module's name) does not grow with the order
+    built = _fractions_built(monkeypatch)
     counts = []
     for order in (8, 32):
         rng = random.Random(order)
@@ -787,6 +794,19 @@ def test_a_pow_product_builds_no_fraction_per_coefficient(monkeypatch):
             assert unit.pow(alpha) * unit.pow(beta) == unit.pow(alpha + beta)
         counts.append(len(built))
     assert counts[0] == counts[1], counts
+
+
+def test_a_coefficient_read_builds_one_fraction(monkeypatch):
+    # series[k] builds Fraction(nums[k], den) alone, so a warm set's check of the
+    # terms z^0 and z^1 of A, B, C and D builds 8 Fractions at every order
+    universal.universal_series_set(64)
+    built = _fractions_built(monkeypatch)
+    counts = []
+    for order in (8, 32):
+        built.clear()
+        universal.universal_series_set(order)
+        counts.append(len(built))
+    assert counts == [8, 8], counts
 
 
 # -- the integer kernels stay private to the series module -----------------

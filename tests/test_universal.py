@@ -401,9 +401,7 @@ def test_k_factorial_times_sk_is_integer():
 
 def _faulted_set():
     """The set of `verify --inject-fault`: D's z^2 coefficient one too large."""
-    coefficients = list(U8.D.coefficients)
-    coefficients[2] += 1
-    return replace(U8, D=TruncatedPowerSeries(coefficients))
+    return replace(U8, D=U8.D + TruncatedPowerSeries([0, 0, 1], order=U8.order))
 
 
 def _evaluated(P, x):
@@ -517,6 +515,98 @@ def test_insufficient_order_rejected():
         segre_series(SurfaceInvariants(2, 0, 0, 0), 9, U8)
     with pytest.raises(ValueError, match="insufficient truncation order"):
         segre_polynomial(9, U8)
+
+
+# -- u = A C generates the lattice, and b = A^2 solves a cubic ----------------------------
+
+#: The theorem's polynomials, coefficients from the constant term up, written out here
+#: rather than read from `lehn`: p(u) = 1 + 2u - 2u^2, the cubic b^3 - b^2 = 2 z and the
+#: K3 denominator 3b - 2.
+P_OF_U = (1, 2, -2)
+CUBIC_OF_B = (0, 0, -1, 1)
+CUBIC_VALUE = 2
+K3_DENOMINATOR = (-2, 3)
+
+
+def _horner(x, coefficients):
+    """The series sum c_i x^i, by products alone."""
+    value = TruncatedPowerSeries.constant(coefficients[-1], x.order)
+    for c in reversed(coefficients[:-1]):
+        value = value * x + c
+    return value
+
+
+def _failing_identities(U, p=P_OF_U, cubic_value=CUBIC_VALUE, k3=K3_DENOMINATOR):
+    """The numbers 1-6 of the identities that U breaks, for b = A^2, u = A C, p = p(u):
+
+    1. b^3 - b^2 = 2 z;  2. B^24 (3b - 2) = b^3;  3. u (u - 1) = z p^3;
+    4. b p = 1;  5. B^12 (2u - 1) p = 1;  6. D B^11 u^2 = b.
+    """
+    z, one = TruncatedPowerSeries.identity(U.order), TruncatedPowerSeries.one(U.order)
+    b, u = U.A * U.A, U.A * U.C
+    P, B11 = _horner(u, p), math.prod([U.B] * 11)
+    B12 = B11 * U.B
+    sides = (
+        (_horner(b, CUBIC_OF_B), z * cubic_value),
+        (B12 * B12 * _horner(b, k3), b * b * b),
+        (u * (u - 1), z * P * P * P),
+        (b * P, one),
+        (B12 * (2 * u - 1) * P, one),
+        (U.D * B11 * u * u, b),
+    )
+    return [n for n, (lhs, rhs) in enumerate(sides, 1) if lhs != rhs]
+
+
+@pytest.mark.parametrize("route", ["engine", "lehn"])
+def test_the_six_lattice_identities_hold_and_each_control_breaks_its_own(route):
+    # in Lehn's form u = (1 - w)/(1 - 2w), so w = (u - 1)/(2u - 1) turns the substitution
+    # into identity 3, and y = (1 - b)/(4 - 6b) turns the cubic in y into identity 1
+    U = universal_series_set(64) if route == "engine" else extract_lehn_universal(64)
+    assert _failing_identities(U) == []
+    z = TruncatedPowerSeries.identity(64)
+    assert _failing_identities(replace(U, D=U.D + z * z)) == [6]  # the --inject-fault fault
+    assert _failing_identities(U, p=(1, 2, -3)) == [3, 4, 5]
+    assert _failing_identities(U, cubic_value=3) == [1]
+    assert _failing_identities(U, k3=(-1, 3)) == [2]
+
+
+@pytest.mark.parametrize("route", ["engine", "lehn"])
+def test_the_k3_series_are_powers_of_b_over_3b_minus_2(route):
+    # S_g = b^(g+2)/(3b - 2) is one substitution: b = 1 + t gives z = t (1 + t)^2 / 2, and
+    # Lagrange-Buermann gives [z^k] S_g = 2^k C(g - 2k + 1, k); coefficient k is a polynomial
+    # of degree at most k in g, so the K + 1 consecutive genera 0 .. K decide every g
+    K = 12
+    U = universal_series_set(K) if route == "engine" else extract_lehn_universal(K)
+    b = U.A * U.A
+
+    def closed_series(g):
+        return TruncatedPowerSeries([closed_segre(k, g) for k in range(K + 1)])
+
+    for g in range(-5, 20):
+        assert b ** (g + 2) / _horner(b, K3_DENOMINATOR) == closed_series(g), g
+    control = _horner(b, (-1, 3))  # 3b - 1
+    assert all(b ** (g + 2) / control != closed_series(g) for g in range(K + 1))
+
+
+def test_every_series_on_the_lattice_is_a_product_of_integer_powers_of_u_2u_minus_1_and_p():
+    # with 1 - w = u/(2u - 1), 1 - 2w = 1/(2u - 1) and 1 - 6w + 6w^2 = p/(2u - 1)^2, Lehn's
+    # form is u^a (2u - 1)^(2c - a - b) p^(-c); its exponents are integers on L, and u, 2u - 1
+    # and p are integer units, so s_k is an integer there; seeded tuples of L in [-20, 20]
+    N, rng = 24, random.Random(16)
+    U = universal_series_set(N)
+    u = U.A * U.C
+    p = _horner(u, P_OF_U)
+    for _ in range(20):
+        d, kappa = rng.randint(-20, 20), rng.randint(-20, 20)
+        pi = rng.choice(range(-20 + d % 2, 21, 2))
+        e = rng.choice(range(-20 + (20 - kappa) % 12, 21, 12))
+        inv = SurfaceInvariants(d, pi, kappa, e)
+        x = lehn.lehn_exponents(inv)
+        a, b, c = map(int, (x.a, x.b, x.c))
+        assert (a, b, c) == (x.a, x.b, x.c), inv
+        series = u**a * (2 * u - 1) ** (2 * c - a - b) * p**-c
+        assert series == segre_series(inv, N, U), inv
+        assert all(coefficient.denominator == 1 for coefficient in series), inv
 
 
 # -- blow-up targets ---------------------------------------------------------------------
