@@ -27,11 +27,11 @@ alone, so undetermined coefficients fix y(z) over the integers, with no
 compositional reversion, and w = y + w^2 gives w(z) the same way.
 Every tuple is then log-linear, f = exp(a l1 + b l2 - c l3), where l1,
 l2, l3 are the logs of 1 - w, 1 - 2w, 1 - 6y at w = w(z): no powers and
-no composition per tuple.  The n l_n are integers, and so is 12 (a, b,
--c) at each of `UNIT_TUPLES`: as in the engine, `series._log_series`
-reads the logs from the n l_n, and `series._exp_series` A, C, D, B from
-the logs.  One cache holds nine series, z(w), w(z), the three logs and
-the four unit series, built at the largest order requested so far; a
+no composition per tuple.  The n l_n are integers, and so is (a, b, -c)
+times the lcm of its denominators: as in the engine, `_log_series` reads
+the logs from the n l_n, and `_exp_series` A, C, D, B from the logs and
+`lehn_exponents` at `UNIT_TUPLES`.  One cache holds these nine series,
+z(w), w(z), l1, l2, l3, A, C, D, B, built at the largest order so far; a
 lower order reads that build, and each reader truncates only what it
 hands out (`lehn_series`, whose exp reads no further than z^N, nothing).
 This module is a construction of the Segre numbers that is independent
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .series import TruncatedPowerSeries, _exp_of_combination, _exp_series
@@ -69,21 +70,24 @@ class LehnExponents:
     c: Fraction
     chi: Fraction
 
+    @property
+    def weights(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(a, b, -c): the weights of the logs of 1 - w, 1 - 2w and 1 - 6w + 6w^2."""
+        return self.a, self.b, -self.c
+
 
 def lehn_exponents(inv: SurfaceInvariants) -> LehnExponents:
     """Exact rational exponents; no integrality is required or assumed."""
-    chi = Fraction(inv.kappa + inv.e, 12)
+    twelve_chi = inv.kappa + inv.e  # each exponent is built as one Fraction
     return LehnExponents(
         a=Fraction(inv.pi - 2 * inv.kappa),
-        b=inv.d - 2 * inv.pi + inv.kappa + 3 * chi,
-        c=Fraction(inv.d - inv.pi, 2) + chi,
-        chi=chi,
+        b=Fraction(4 * (inv.d - 2 * inv.pi + inv.kappa) + twelve_chi, 4),  # 3 chi = twelve_chi / 4
+        c=Fraction(6 * (inv.d - inv.pi) + twelve_chi, 12),
+        chi=Fraction(twelve_chi, 12),
     )
 
 
-def change_of_variable(
-    N: int,
-) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
+def change_of_variable(N: int) -> tuple[TruncatedPowerSeries, TruncatedPowerSeries]:
     """The substitution z(w) expanded to order N, and its inverse w(z)."""
     if N < 1:
         raise ValueError("change of variable needs order >= 1")
@@ -93,13 +97,6 @@ def change_of_variable(
 #: The cubic y (1 - 4y)^2 = z (1 - 6y)^3 that w P(w) = z Q(w) becomes at
 #: y = w - w^2: its two sides as polynomials in y, lowest coefficient first.
 _CUBIC = ((0, 1, -8, 16), (1, -18, 108, -216))
-
-#: 12 (a, b, -c) at each of `UNIT_TUPLES`: integers, since 12 chi and 12 c are.
-_UNIT_WEIGHTS = {
-    name: tuple(int(12 * x) for x in (exps.a, exps.b, -exps.c))
-    for name, exps in zip(UNIT_TUPLES, map(lehn_exponents, UNIT_TUPLES.values()))
-}
-
 
 @_grown_by_prefix
 def _substitution(N: int) -> tuple[TruncatedPowerSeries, ...]:
@@ -113,9 +110,9 @@ def _substitution(N: int) -> tuple[TruncatedPowerSeries, ...]:
     dot product each per order, so the expansion is O(N^2) integer work.
     z(w) is the long division of the two sides, each a polynomial in w.
     The factors 1 - w, 1 - 2w and 1 - 6y have integer coefficients, so
-    `_log_numerators` gives the integers n l_n, and the unit series
-    exp(u . (l1, l2, l3) / 12) for u in `_UNIT_WEIGHTS` cost one integer
-    dot product per coefficient and one `_exp_series` each.
+    `_log_numerators` gives the integers n l_n, and exp(u . l / q) for u =
+    q (a, b, -c) at each of `UNIT_TUPLES`, q the lcm of its denominators,
+    costs one integer dot product per coefficient and one `_exp_series`.
     """
     left, right = _CUBIC
     powers = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(3)]  # [z^n] y^r
@@ -137,8 +134,11 @@ def _substitution(N: int) -> tuple[TruncatedPowerSeries, ...]:
         zw.append(x - sum(map(mul, den[1:], reversed(zw))))
     factors = ([1, *(-a * x for x in row[1:])] for a, row in ((1, w), (2, w), (6, y)))
     m = [_log_numerators(f, 1) for f in factors]  # m_n = n l_n
-    sums = ([sum(map(mul, u, column)) for column in zip(*m)] for u in _UNIT_WEIGHTS.values())
-    units = (_exp_series(g, 12) for g in sums)  # g_n = n (u . l)_n
+    units = []
+    for weights in (lehn_exponents(inv).weights for inv in UNIT_TUPLES.values()):
+        q = lcm(*(x.denominator for x in weights))
+        u = [x.numerator * (q // x.denominator) for x in weights]  # exact, not truncated
+        units.append(_exp_series([sum(map(mul, u, column)) for column in zip(*m)], q))  # g_n = n (u . l)_n
     return (TruncatedPowerSeries(zw), TruncatedPowerSeries(w), *map(_log_series, m), *units)
 
 
@@ -146,8 +146,8 @@ def lehn_series(inv: SurfaceInvariants, N: int) -> TruncatedPowerSeries:
     """Taylor expansion of the Lehn function in z (not w) to order N."""
     if N < 0:
         raise ValueError("order must be non-negative")
-    exps = lehn_exponents(inv)  # the kernel reads the logs to z^N: no truncation
-    return _exp_of_combination(zip((exps.a, exps.b, -exps.c), _substitution(N)[2:5]), N)
+    logs = _substitution(N)[2:5]  # the kernel reads them to z^N: no truncation
+    return _exp_of_combination(zip(lehn_exponents(inv).weights, logs), N)
 
 
 def extract_lehn_universal(N: int) -> UniversalSeriesSet:

@@ -4,7 +4,9 @@ Each control replaces one ingredient through its module attribute, so
 it also shows that the checks call the library through its modules,
 and asserts that the check fails with the expected first counterexample.
 A table adds one fault per component of the three routes, each of which
-must make a named registry check FAIL.
+must make a named registry check FAIL.  Each of those faults runs over
+empty caches of both cold builds (`tests._caches`), so a fault that a
+build reads is built, and the build is dropped with the fault.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hilbsegre import format_rational, universal_series_set
 from hilbsegre.series import _grown_by_prefix
 from hilbsegre.universal import UNIT_TUPLES
 from tests import test_acceptance
+from tests._caches import COLD_BUILDS, empty_caches
 
 
 def _bumped_at(fn, *at):
@@ -146,6 +149,7 @@ def test_engine_vs_lehn_grid_catches_an_exponent_fault_that_vanishes_at_e_0_12_2
         exps = exponents(inv)
         return replace(exps, b=exps.b + inv.e * (inv.e - 12) * (inv.e - 24))
 
+    empty_caches(monkeypatch)
     monkeypatch.setattr(lehn, "lehn_exponents", slipped)
     counterexample = _single_failure(checks.engine_vs_lehn_grid, universal_series_set(5), 4, 2)
     assert counterexample == "(d,pi,kappa,e)=(0,0,0,1), k=1: engine 0 vs lehn -506"
@@ -243,9 +247,8 @@ def _fault_in_log(name):
 
 
 def _fault_in_blowup_targets(monkeypatch):
-    # C and D solved, without the cache, against targets with e = 26 for 25
+    # C and D solved against targets with e = 26 for 25
     vanishings = universal._blowup_vanishings
-    monkeypatch.setattr(universal, "_universal_logs", universal._universal_logs.__wrapped__)
     monkeypatch.setattr(
         universal,
         "_blowup_vanishings",
@@ -264,30 +267,31 @@ def _fault_in_b(monkeypatch):
 
 
 def _fault_in_w(monkeypatch):
-    # an empty cache over a fresh build of the substitution with w(z) bumped before
-    # the three logs, and the four unit series exp(u . (l1, l2, l3) / 12) from them, are taken
+    # a fresh build of the substitution with w(z) bumped before the three logs, and
+    # the four unit series exp((a, b, -c) . (l1, l2, l3)) from them, are taken
     build = lehn._substitution.__wrapped__
 
     def substitution(N):
         zw, wz, *_ = build(N)
         w = TruncatedPowerSeries(_bumped(wz, 2))
         logs = [f.log() for f in (1 - w, 1 - 2 * w, 1 - 6 * w + 6 * w * w)]
-        units = [(sum(x * l for x, l in zip(u, logs)) / 12).exp() for u in lehn._UNIT_WEIGHTS.values()]
+        weights = (lehn.lehn_exponents(inv).weights for inv in UNIT_TUPLES.values())
+        units = [sum(x * l for x, l in zip(u, logs)).exp() for u in weights]
         return (zw, w, *logs, *units)
 
     monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(substitution))
 
 
 def _fault_in_substitution_polynomial(monkeypatch):
-    # the y^3 coefficient of (1 - 6y)^3 one too large (-215 for -216), in an
-    # empty cache: y(z), and so w(z), moves first at z^4
+    # the y^3 coefficient of (1 - 6y)^3 one too large (-215 for -216): y(z), and
+    # so w(z), moves first at z^4
     left, right = lehn._CUBIC
-    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(lehn._substitution.__wrapped__))
     monkeypatch.setattr(lehn, "_CUBIC", (left, _bumped(right, 3)))
 
 
 def _fault_in_exponent(monkeypatch):
-    # b = d + 2 pi + ... for d - 2 pi + ..., a sign slip that pi = 0 hides
+    # b = d + 2 pi + ... for d - 2 pi + ..., a sign slip that pi = 0 hides; it
+    # reaches the unit series C, whose linear coefficient it moves to -8
     exponents = lehn.lehn_exponents
 
     def slipped(inv):
@@ -329,20 +333,47 @@ COMPONENT_FAULTS = {
 @pytest.mark.parametrize(("install", "check"), COMPONENT_FAULTS.values(), ids=COMPONENT_FAULTS)
 def test_a_fault_in_each_component_fails_a_registry_check(monkeypatch, install, check):
     # the registry at order 4 and max_k 4, on the series set that `verify` builds
+    empty_caches(monkeypatch)
     install(monkeypatch)
     U = universal.universal_series_set(5)
     outcomes = [outcome for run in checks.REGISTRY for outcome in run(U, 4, 4)]
     assert check in {outcome.name for outcome in outcomes if not outcome.ok}
 
 
-@pytest.mark.parametrize("install", [fault for fault, _ in COMPONENT_FAULTS.values()], ids=COMPONENT_FAULTS)
+FAULTS = [fault for fault, _ in COMPONENT_FAULTS.values()]
+
+
+@pytest.mark.parametrize("install", FAULTS, ids=COMPONENT_FAULTS)
 def test_each_fault_keeps_every_part_of_the_cached_builds(monkeypatch, install):
     # a faulted cache must still hold everything its readers take, the unit series included
-    caches = ((universal, "_universal_logs"), (lehn, "_substitution"))
-    real = [len(getattr(module, name)(4)) for module, name in caches]
+    real = [len(getattr(module, name)(4)) for module, name in COLD_BUILDS]
+    empty_caches(monkeypatch)
     install(monkeypatch)
-    assert [len(getattr(module, name)(4)) for module, name in caches] == real
-    assert lehn.extract_lehn_universal(4).order == universal.universal_series_set(4).order == 4
+    assert [len(getattr(module, name)(4)) for module, name in COLD_BUILDS] == real
+    assert universal.universal_series_set(4).order == 4
+    if install is _fault_in_exponent:
+        # the slipped exponents reach the cached unit series, and the set refuses them
+        with pytest.raises(ValueError, match="^C must have linear coefficient 0$"):
+            lehn.extract_lehn_universal(4)
+    else:
+        assert lehn.extract_lehn_universal(4).order == 4
+
+
+@pytest.mark.parametrize("install", FAULTS, ids=COMPONENT_FAULTS)
+def test_no_fault_leaves_a_poisoned_cache_behind(monkeypatch, install):
+    # the caches that later tests read start empty here, so a build that the fault
+    # made in them would show after the fault is undone
+    empty_caches(monkeypatch)
+    with pytest.MonkeyPatch.context() as faulted:
+        empty_caches(faulted)
+        install(faulted)
+        U = universal.universal_series_set(5)
+        for run in checks.REGISTRY:
+            run(U, 4, 4)
+        lehn.change_of_variable(5)
+    for module, name in COLD_BUILDS:
+        cache = getattr(module, name)
+        assert tuple(part.truncate(5) for part in cache(5)) == cache.__wrapped__(5), name
 
 
 def test_every_registry_check_runs_in_an_acceptance_criterion(monkeypatch):

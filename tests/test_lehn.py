@@ -44,6 +44,7 @@ from hilbsegre import (
 )
 from hilbsegre.cli import MAX_ORDER
 from hilbsegre.series import _grown_by_prefix
+from tests._caches import empty_caches
 from tests._oracles import LEHN_P, LEHN_Q, fraction_div, lehn_residue, published_s5_times_120
 from tests._oracles import generalized_binomial, residue_coefficient, reverted_substitution
 
@@ -233,11 +234,11 @@ def test_lehn_route_reads_no_engine(monkeypatch):
 
     engine = ("universal_series_set", "segre_series", "segre_number", "_universal_logs", "closed_segre")
     assert not any(hasattr(lehn, name) for name in engine)
+    empty_caches(monkeypatch)  # before the engine's cache is refused
     for module in (hilbsegre, k3, lehn, universal):
         for name in engine:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(build))  # an empty cache
     with pytest.raises(RuntimeError):
         universal.universal_series_set(2)
     assert build(8) == expected[0]
@@ -303,16 +304,66 @@ def test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(N):
     assert extract_lehn_universal(N) == lehn_series_set(N)
 
 
-@pytest.mark.parametrize("weights", [(0, 3, -2), (6, 0, -1)], ids=["l3-weight", "same-linear-term"])
-def test_a_wrong_unit_weight_fails_the_oracle_and_the_engine(monkeypatch, weights):
-    # B's l3 weight -1 -> -2 moves B's linear coefficient, which the set
-    # refuses with ValueError; (6, 0, -1) keeps it 0 and moves B from z^2 on
-    monkeypatch.setattr(lehn, "_substitution", _grown_by_prefix(lehn._substitution.__wrapped__))  # an empty cache
-    monkeypatch.setitem(lehn._UNIT_WEIGHTS, "B", weights)
-    with pytest.raises((AssertionError, ValueError)):
-        test_extracted_set_equals_the_lehn_series_at_each_unit_tuple(8)
-    with pytest.raises((AssertionError, ValueError)):
-        assert extract_lehn_universal(8) == universal_series_set(8)
+def _slipped_exponents(slip):
+    """`lehn_exponents` plus the `Fraction`s `slip(inv)`, by field name."""
+
+    def slipped(inv):
+        exps = lehn_exponents(inv)
+        return dataclasses.replace(exps, **{name: getattr(exps, name) + x for name, x in slip(inv).items()})
+
+    return slipped
+
+
+def _chi_over_11(inv):
+    # chi = (kappa + e)/11 for (kappa + e)/12, carried into b and c as lehn_exponents derives them
+    slip = F(inv.kappa + inv.e, 11) - lehn_exponents(inv).chi
+    return {"b": 3 * slip, "c": slip, "chi": slip}
+
+
+@pytest.mark.parametrize(
+    ("slip", "refusal"),
+    [({"c": F(1, 12)}, "B must have linear coefficient 0"), ({"a": F(1, 2), "b": F(-1, 4)}, None)],
+    ids=["l3-weight", "same-linear-term"],
+)
+def test_a_wrong_unit_weight_reaches_the_cache_and_fails_the_engine(monkeypatch, slip, refusal):
+    # at B's tuple, c + 1/12 (12 (a, b, -c) = (0, 3, -1) -> (0, 3, -2)) moves B's linear
+    # coefficient, which the set refuses; a + 1/2, b - 1/4 (-> (6, 0, -1)) keeps it 0 and
+    # moves B from z^2 on.  The cache reads lehn_exponents when it builds, so each unit
+    # series is still lehn_series at its tuple: only the engine can see the slip
+    empty_caches(monkeypatch)
+    at_b = _slipped_exponents(lambda inv: slip if inv == UNIT_TUPLES["B"] else {})
+    monkeypatch.setattr(lehn, "lehn_exponents", at_b)
+    units = {name: unit.truncate(8) for name, unit in zip(UNIT_TUPLES, lehn._substitution(8)[5:])}
+    assert units == {name: lehn_series(inv, 8) for name, inv in UNIT_TUPLES.items()}
+    assert units["B"] != U8.B
+    if refusal:
+        with pytest.raises(ValueError, match=f"^{refusal}$"):
+            extract_lehn_universal(8)
+    else:
+        assert extract_lehn_universal(8) != universal_series_set(8)
+
+
+def test_a_slipped_exponent_reaches_the_extracted_set(monkeypatch):
+    # a + 2e/7, b - e/7 keeps every linear coefficient; over an empty cache it moves
+    # the unit series B, the only one with e != 0, and the set no longer equals the engine's
+    empty_caches(monkeypatch)
+    slipped = _slipped_exponents(lambda inv: {"a": F(2 * inv.e, 7), "b": F(-inv.e, 7)})
+    monkeypatch.setattr(lehn, "lehn_exponents", slipped)
+    extracted = extract_lehn_universal(8)
+    assert extracted != universal_series_set(8)
+    assert (extracted.A, extracted.C, extracted.D) == (U8.A, U8.C, U8.D) and extracted.B != U8.B
+
+
+def test_extracted_set_reads_exponents_in_elevenths_exactly(monkeypatch):
+    # the chi/11 slip puts the exponents of D and B in elevenths, which 12 (a, b, -c)
+    # cannot hold; it keeps each linear coefficient, and the set stays lehn_series at
+    # each unit tuple
+    empty_caches(monkeypatch)
+    monkeypatch.setattr(lehn, "lehn_exponents", _slipped_exponents(_chi_over_11))
+    assert lehn.lehn_exponents(UNIT_TUPLES["D"]).weights == (-2, F(14, 11), F(-1, 11))
+    for N in (1, 2, 8):
+        assert extract_lehn_universal(N) == lehn_series_set(N)
+    assert extract_lehn_universal(8) != U8
 
 
 def test_extracted_sets_read_the_cache_and_run_no_exp(monkeypatch):
@@ -535,11 +586,7 @@ def test_residue_exponents_at_the_engine_targets():
 def test_residue_exponent_checks_catch_a_wrong_constraint_and_a_wrong_chi():
     # h = g - l(l + 1)/2 = 3k - 1 in place of 3k - 2 turns the third exponent negative, and
     # chi = (kappa + e)/11 in lehn_exponents breaks the blow-up exponents at every k
-    def chi_over_11(inv):
-        x = lehn_exponents(inv)
-        slip = F(inv.kappa + inv.e, 11) - x.chi
-        return dataclasses.replace(x, b=x.b + 3 * slip, c=x.c + slip, chi=x.chi + slip)
-
+    chi_over_11 = _slipped_exponents(_chi_over_11)
     for k in range(2, 65):
         for l in (k - 1, k):
             g = 3 * k - 1 + l * (l + 1) // 2

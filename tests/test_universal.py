@@ -37,9 +37,9 @@ from hilbsegre import (
     universal_series_set,
 )
 from hilbsegre.cli import MAX_ORDER
-from hilbsegre.series import _grown_by_prefix
 from hilbsegre.universal import UNIT_TUPLES
 
+from tests._caches import empty_caches
 from tests._oracles import fraction_pow, fraction_probe_and_solve
 
 A_PREFIX = (F(1), F(1), F(-9, 2), F(65, 2), F(-2261, 8))
@@ -276,8 +276,7 @@ def test_solve_rebuilds_a_probe_when_its_weights_change_and_the_set_runs_four_ex
     assert starts == probes[:1] + [1] + probes[1:]  # the twin, delta = (1, 1, 0, 0), once
     assert len(steps) == sum(range(2, N + 1)) + 32 == 559  # a new probe per order, the twin
     assert calls == []  # the solve runs no whole exp
-    build = universal._universal_logs.__wrapped__
-    monkeypatch.setattr(universal, "_universal_logs", _grown_by_prefix(build))  # an empty cache
+    empty_caches(monkeypatch)
     universal_series_set(N)
     assert calls == [N + 1] * 4  # A, C, D and B, once each
     calls.clear()
