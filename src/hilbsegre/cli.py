@@ -37,9 +37,9 @@ from .universal import SurfaceInvariants, segre_series, universal_series_set
 DEFAULT_ORDER = 8
 #: The largest --k, --order, --max-order or --max-k accepted: the
 #: largest power of two at which every command ends within a minute.
-#: The dearest one, `verify --max-order N --max-k N`, took 4.9-8.0 s
-#: at N = 64 and 59-102 s at N = 128 on a 2-vCPU machine whose speed
-#: swings by up to 1.8x.
+#: The dearest one, `verify --max-order N --max-k N`, took 2.7 s at
+#: N = 64 and 38-39 s at N = 128 on a 2-vCPU machine whose speed swings
+#: by up to 1.8x, so at 128 it can pass a minute.
 MAX_ORDER = 64
 CSV_HEADER = ("d", "pi", "kappa", "e", "k", "route", "value")
 

@@ -37,6 +37,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate, repeat
 from math import factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Union
@@ -337,10 +338,10 @@ class TruncatedPowerSeries:
         """Compositional inverse g with f(g(z)) = z, for f0 = 0, f1 != 0.
 
         Lagrange inversion: g_m = [w^(m-1)] phi^m / m with phi = w / f(w),
-        a unit series.  The powers phi^m are kept as integer numerators
-        over D^m, with phi = P / D, and built by one integer product per
-        order, so the whole inverse costs O(N^3) (Brent and Kung, "Fast
-        algorithms for manipulating formal power series", 1978).
+        a unit series.  The powers phi^m are built by the series product,
+        one per order, each reduced by its gcd, so the whole inverse costs
+        O(N^3) (Brent and Kung, "Fast algorithms for manipulating formal
+        power series", 1978).
 
         >>> f = TruncatedPowerSeries([0, 1, 1, 1, 1, 1])   # z/(1-z)
         >>> print(f.revert())
@@ -349,23 +350,18 @@ class TruncatedPowerSeries:
         f, den = self._ints
         if self.order < 1 or f[0] != 0 or f[1] == 0:
             raise ValueError("series not invertible under composition")
-        p, phi_den = (1 / TruncatedPowerSeries._canonical(f[1:], den))._ints
-        power, scale = p, phi_den  # phi^m = power / scale
-        g = [(0, 1)]
-        for m in range(1, self.order + 1):
-            g.append((power[m - 1], m * scale))
-            if m < self.order:
-                power = _convolve(power, p, len(p) - 1)
-                scale *= phi_den
-        return _reduced(g)
+        phi = 1 / TruncatedPowerSeries._canonical(f[1:], den)
+        powers = (p._ints for p in accumulate(repeat(phi, self.order), mul))  # phi^m = x / d
+        return _reduced([(0, 1)] + [(x[m - 1], m * d) for m, (x, d) in enumerate(powers, 1)])
 
 
 def _reduced(pairs) -> TruncatedPowerSeries:
     """The series of the x / d for (x, d) in pairs, each reduced by its own gcd, then over their lcm.
 
-    `log`, `pow` and `revert` give x_n / (s D^n) with D the input's own denominator,
-    which on an `exp` output grows like n! 6^n.  Over s D^K, the reducing gcd would
-    run on K bits(D)-bit integers: `log` of an `exp` output at order 128 got slower."""
+    `log` and `pow` give x_n / (s D^n) with D the input's own denominator, which on
+    an `exp` output grows like n! 6^n.  Over s D^K, the reducing gcd would run on
+    K bits(D)-bit integers: `log` of an `exp` output at order 128 got slower.
+    `revert` gives x / (m d) for each reduced power phi^m = x / d."""
     pairs = [(x // c, d // c) for x, d in pairs for c in (gcd(x, d),)]
     den = lcm(*(d for _, d in pairs))
     return TruncatedPowerSeries._canonical([x * (den // d) for x, d in pairs], den)

@@ -8,10 +8,13 @@ numeric tolerances anywhere in this suite.
 
 from __future__ import annotations
 
+import random
 import time
+from fractions import Fraction
 
 from hilbsegre import (
     SurfaceInvariants,
+    TruncatedPowerSeries,
     blowup_targets,
     checks,
     closed_segre,
@@ -142,3 +145,15 @@ def test_criterion_13_lehn_universal_series_at_order_128():
     # the engine's build also proves every j log_j integral to 128: its solve raises otherwise
     with _Timer("13 lehn-universal-128", 3.0):
         assert extract_lehn_universal(128) == universal_series_set(128)
+
+
+def test_criterion_14_reversion_reach_at_order_128():
+    # one series drawn as kernel-roundtrips draws its invertible ones, at an order past MAX_ORDER
+    with _Timer("14 reversion-reach-128", 2.5):
+        rng = random.Random(58123)
+        linear = Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2]))
+        rest = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(127)]
+        f = TruncatedPowerSeries([0, linear] + rest)
+        inverse, identity = f.revert(), TruncatedPowerSeries.identity(128)
+        assert f.compose(inverse) == identity
+        assert inverse.compose(f) == identity

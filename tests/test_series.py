@@ -314,7 +314,7 @@ def test_revert_matches_undetermined_coefficient_oracle():
 @pytest.mark.parametrize("linear", [F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
 def test_revert_matches_oracle_on_seeded_series(linear):
     rng = random.Random(int(linear * 6))
-    for order in (1, 2, 3, 5, 8, 13, 20):
+    for order in (1, 2, 3, 5, 8, 13, 20, 22):
         tail = [F(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(order - 1)]
         f = TPS([0, linear] + tail)
         assert f.revert().coefficients == undetermined_revert(f).coefficients, order
